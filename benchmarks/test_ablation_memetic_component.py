@@ -8,8 +8,8 @@ justification for Section 3.2's "local search methods" machinery.
 """
 
 from repro.experiments.runner import cellular_ga_spec, cma_spec, repeat_run
-from repro.experiments.reporting import format_table
 from repro.model.benchmark import generate_braun_like_instance
+from repro.utils.tables import format_table
 
 from .conftest import run_once
 

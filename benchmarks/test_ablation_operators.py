@@ -13,8 +13,8 @@ choices pay off (or at least do not hurt) at the reproduction's scale.
 
 from repro.core.cma import CellularMemeticAlgorithm
 from repro.core.config import CMAConfig
-from repro.experiments.reporting import format_table
 from repro.model.benchmark import generate_braun_like_instance
+from repro.utils.tables import format_table
 
 from .conftest import run_once
 

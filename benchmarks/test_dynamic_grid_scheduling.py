@@ -15,7 +15,6 @@ rolling commit horizon so consecutive activations overlap and the warm
 service's plan carrying is exercised for real.
 """
 
-from repro.experiments.reporting import format_table
 from repro.grid import (
     BurstyArrivalModel,
     ChurningResourceModel,
@@ -27,6 +26,7 @@ from repro.grid import (
     StaticResourceModel,
     WarmCMAPolicy,
 )
+from repro.utils.tables import format_table
 
 from .conftest import run_once
 

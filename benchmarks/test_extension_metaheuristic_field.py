@@ -8,7 +8,6 @@ instance, the cMA must match or beat both single-solution metaheuristics and
 every constructive heuristic.
 """
 
-from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
     cma_spec,
     heuristic_spec,
@@ -17,6 +16,7 @@ from repro.experiments.runner import (
     tabu_search_spec,
 )
 from repro.model.benchmark import generate_braun_like_instance
+from repro.utils.tables import format_table
 
 from .conftest import run_once
 

@@ -11,8 +11,8 @@ total budget.
 from repro.core.cma import CellularMemeticAlgorithm
 from repro.core.config import CMAConfig
 from repro.core.mo_cma import MOCMAConfig, MultiObjectiveCellularMA
-from repro.experiments.reporting import format_table
 from repro.model.benchmark import generate_braun_like_instance
+from repro.utils.tables import format_table
 
 from .conftest import run_once
 

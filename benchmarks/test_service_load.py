@@ -34,7 +34,6 @@ from repro.core.config import (
     ServiceConfig,
     TraceConfig,
 )
-from repro.experiments.reporting import format_table
 from repro.grid.service import DynamicSchedulerService
 from repro.grid.workload import StaticResourceModel
 from repro.obs import (
@@ -47,6 +46,7 @@ from repro.obs import (
 from repro.obs.timeline import JOB_EVENTS
 from repro.service import LoadGenerator, SchedulerCore, SchedulerServer
 from repro.traces import generate_trace, rescale_trace
+from repro.utils.tables import format_table
 
 from .conftest import run_once
 

@@ -25,9 +25,9 @@ import dataclasses
 import os
 
 from repro.core.config import ActivationPolicy, ArenaConfig, TraceConfig
-from repro.experiments.reporting import format_table
 from repro.experiments.runner import dynamic_policy_specs
 from repro.traces import ReplayArena, generate_trace, summarize_arena
+from repro.utils.tables import format_table
 
 from .conftest import bench_repetitions, run_once
 

@@ -21,7 +21,7 @@ from repro import CellularMemeticAlgorithm, CMAConfig, TerminationCriteria, brau
 from repro.core.local_search import LocalSearch, register_local_search
 from repro.heuristics import ConstructiveHeuristic, register_heuristic
 from repro.model.schedule import Schedule
-from repro.experiments.reporting import format_table
+from repro.utils.tables import format_table
 
 
 @register_heuristic

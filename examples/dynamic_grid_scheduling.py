@@ -19,7 +19,6 @@ Run with:  python examples/dynamic_grid_scheduling.py
 
 from __future__ import annotations
 
-from repro.experiments.reporting import format_table
 from repro.grid import (
     CMABatchPolicy,
     ChurningResourceModel,
@@ -28,6 +27,7 @@ from repro.grid import (
     PoissonArrivalModel,
     SimulationConfig,
 )
+from repro.utils.tables import format_table
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro import TerminationCriteria, braun_suite
 from repro.core import CMAConfig, MOCMAConfig, MultiObjectiveCellularMA
-from repro.experiments.reporting import format_table
+from repro.utils.tables import format_table
 
 
 def main() -> None:

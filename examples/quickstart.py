@@ -17,7 +17,7 @@ from repro import (
     braun_suite,
     build_schedule,
 )
-from repro.experiments.reporting import format_table
+from repro.utils.tables import format_table
 
 
 def main() -> None:

@@ -77,7 +77,6 @@ from repro.core.config import (
     TraceConfig,
 )
 from repro.engine.service import EvaluationEngine
-from repro.experiments.reporting import format_mapping, format_table
 from repro.experiments.runner import (
     ExperimentSettings,
     braun_ga_spec,
@@ -136,6 +135,7 @@ from repro.traces import (
     policy_spec_from_name,
     rescale_trace,
 )
+from repro.utils.tables import format_mapping, format_table
 
 __all__ = ["build_parser", "main"]
 

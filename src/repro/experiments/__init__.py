@@ -4,16 +4,9 @@
 * :mod:`repro.experiments.runner` — multi-run execution and algorithm specs.
 * :mod:`repro.experiments.tuning` — Figures 2-5 (operator tuning sweeps).
 * :mod:`repro.experiments.tables` — Tables 2-5 plus the robustness study.
-* :mod:`repro.experiments.reporting` — plain-text tables and series.
 """
 
 from repro.experiments import reference
-from repro.experiments.reporting import (
-    format_mapping,
-    format_number,
-    format_series,
-    format_table,
-)
 from repro.experiments.runner import (
     AlgorithmSpec,
     ComparisonCell,
@@ -48,6 +41,12 @@ from repro.experiments.tuning import (
     run_variant_sweep,
     sweep_order_sweep,
     tournament_sweep,
+)
+from repro.utils.tables import (
+    format_mapping,
+    format_number,
+    format_series,
+    format_table,
 )
 
 __all__ = [

@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 from repro.core.config import CMAConfig
 from repro.experiments import reference
-from repro.experiments.reporting import format_mapping, format_table
 from repro.experiments.runner import (
     AlgorithmSpec,
     ComparisonCell,
@@ -32,6 +31,7 @@ from repro.experiments.runner import (
 )
 from repro.model.benchmark import BRAUN_INSTANCE_NAMES, braun_suite
 from repro.model.instance import SchedulingInstance
+from repro.utils.tables import format_mapping, format_table
 
 __all__ = [
     "TableResult",

@@ -26,12 +26,12 @@ import numpy as np
 
 from repro.core.cma import CellularMemeticAlgorithm
 from repro.core.config import CMAConfig
-from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import ExperimentSettings
 from repro.model.generator import ETCGeneratorConfig, generate_instance
 from repro.model.instance import SchedulingInstance
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.stats import RunStatistics, summarize
+from repro.utils.tables import format_series, format_table
 
 __all__ = [
     "TuningSettings",

@@ -10,7 +10,7 @@ lifecycle is tracked by :class:`JobRecord`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -80,7 +80,6 @@ class JobRecord:
     start_time: float | None = None
     completion_time: float | None = None
     reschedules: int = 0
-    history: list[str] = field(default_factory=list)
 
     @property
     def response_time(self) -> float:
@@ -116,7 +115,3 @@ class JobRecord:
         if self.start_time is None:
             raise ValueError(f"job {self.job.job_id} has not started")
         return self.start_time - self.job.arrival_time
-
-    def note(self, message: str) -> None:
-        """Append a human-readable event to the job's history."""
-        self.history.append(message)

@@ -33,14 +33,13 @@ vocabulary and the deterministic tie-breaking rules):
 * ``TASK_END`` — a committed placement reaches its planned finish;
   popping it garbage-collects the machine's outstanding-work queue, so
   departure processing scans only genuinely in-flight placements.
-* ``SCHEDULER_TICK`` — one scheduler activation: pending jobs that have
-  arrived are assembled into a static
-  :class:`~repro.model.instance.SchedulingInstance` (one vectorized
-  :func:`~repro.grid.machine.execution_times_matrix` call; the metadata
-  carries stable job/machine ids for stateful policies), the configured
+* ``SCHEDULER_TICK`` — one scheduler activation: the shared activation
+  kernel (:func:`~repro.grid.activation.run_activation`) assembles the
+  pending jobs that have arrived into a static
+  :class:`~repro.model.instance.SchedulingInstance`, the configured
   :class:`~repro.grid.scheduler.BatchSchedulingPolicy` produces an
-  assignment, and the jobs are committed to their machines' queues in
-  shortest-processing-time order.
+  assignment, and the simulator commits the jobs to their machines' queues
+  in shortest-processing-time order on the virtual clock.
 
 Who places the ticks is the :class:`~repro.core.config.ActivationPolicy` of
 the :class:`SimulationConfig`.  The default **periodic** driver chains
@@ -67,16 +66,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import ActivationPolicy, RetryPolicy
+from repro.grid.activation import BatchPlan, run_activation
 from repro.grid.events import EventQueue, EventType
 from repro.grid.job import GridJob, JobRecord, JobState
-from repro.grid.machine import GridMachine, MachineState, execution_times_matrix
+from repro.grid.machine import GridMachine, MachineState
 from repro.grid.metrics import ActivationRecord, MachineEvent, SimulationMetrics
 from repro.grid.scheduler import BatchSchedulingPolicy
-from repro.model.instance import SchedulingInstance
 from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.phases import PhaseTimer
 from repro.utils.rng import RNGLike, as_generator
-from repro.utils.timer import Stopwatch
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = ["SimulationConfig", "GridSimulator"]
@@ -275,19 +272,16 @@ class GridSimulator:
             "repro_sim_scheduler_seconds",
             "Wall-clock seconds one scheduler activation took.",
         )
-        # Activation phase profiler: every non-idle activation splits its
-        # wall-clock cost into named phases (instance build, solve, commit,
-        # plus whatever the policy reports via ``last_phases``).  The
-        # per-phase histogram children are resolved lazily because phase
-        # names partly come from the policy; each observation carries the
-        # activation sequence number as an exemplar linking the histogram
-        # back to the matching trace span.
+        # Activation phase profiler: the activation kernel splits every
+        # non-idle activation's wall-clock cost into named phases (instance
+        # build, solve, commit, plus whatever the policy reports via
+        # ``last_phases``) and observes each with the activation sequence
+        # number as an exemplar linking the histogram to the trace span.
         self._phase_hist = reg.histogram(
             "repro_sim_activation_phase_seconds",
             "Wall-clock seconds one activation spent in each named phase.",
             labels=("phase",),
         )
-        self._m_phase_children: dict[str, object] = {}
         self._activation_seq = 0
         self._phase_seconds: dict[str, float] = {}
         # Failure-model counters: revocations by cause, retry outcomes,
@@ -590,7 +584,6 @@ class GridSimulator:
         record.machine_id = None
         record.start_time = None
         record.completion_time = None
-        record.note(f"cancelled at t={now:.2f}")
         self._m_cancelled.inc()
         if self._trace_log is not None:
             self._trace_log.emit(
@@ -611,7 +604,6 @@ class GridSimulator:
         state = self.machine_states[machine_id]
         queue = self._queues[machine_id]
         retry = self.config.retry
-        reason = "machine departed" if cause == "leave" else "machine broke down"
         surviving = [entry for entry in queue if entry.finish <= now]
         for entry in queue:
             if entry.finish <= now:
@@ -637,7 +629,6 @@ class GridSimulator:
                 )
             if retry is None:
                 record.state = JobState.RESUBMITTED
-                record.note(f"resubmitted at t={now:.2f} ({reason})")
                 self._pending_positions.add(self._job_position[entry.job_id])
                 self._unfinished += 1
                 if self._trace_log is not None:
@@ -651,10 +642,6 @@ class GridSimulator:
                     )
             elif record.reschedules > retry.max_attempts:
                 record.state = JobState.FAILED
-                record.note(
-                    f"dropped at t={now:.2f} ({reason}; "
-                    f"retry cap {retry.max_attempts} exhausted)"
-                )
                 self._m_retry_dropped.inc()
                 if self._trace_log is not None:
                     self._trace_log.emit(
@@ -671,13 +658,8 @@ class GridSimulator:
                 delay = retry.delay(entry.job_id, record.reschedules)
                 position = self._job_position[entry.job_id]
                 if delay <= 0.0:
-                    record.note(f"resubmitted at t={now:.2f} ({reason})")
                     self._pending_positions.add(position)
                 else:
-                    record.note(
-                        f"resubmitted at t={now:.2f} ({reason}; "
-                        f"backoff until t={now + delay:.2f})"
-                    )
                     self._retry_positions.add(position)
                     self._events.push(now + delay, EventType.TASK_SUBMIT, position)
                 if self._trace_log is not None:
@@ -741,7 +723,7 @@ class GridSimulator:
         ]
 
     def _fire_scheduler(self, now: float) -> None:
-        """One activation: build the batch instance, schedule it, commit it."""
+        """One activation: the shared kernel on the virtual clock."""
         pending = self._pending_jobs()
         available = self._available_machines() if pending else []
         if not pending or not available:
@@ -751,82 +733,61 @@ class GridSimulator:
 
         self._activation_seq += 1
         seq = self._activation_seq
-        timer = PhaseTimer()
-        with timer.phase("instance_build"):
-            etc = execution_times_matrix(pending, available)
-            ready = np.array(
-                [
-                    self.machine_states[machine.machine_id].ready_time(now)
-                    for machine in available
-                ],
-                dtype=float,
-            )
-            instance = SchedulingInstance(
-                etc=etc,
-                ready_times=ready,
-                name=f"batch@t={now:.2f}",
-                metadata={
-                    "job_ids": np.array([job.job_id for job in pending], dtype=np.int64),
-                    "machine_ids": np.array(
-                        [machine.machine_id for machine in available], dtype=np.int64
-                    ),
-                },
-            )
-        if self._trace_log is not None:
-            self._trace_log.emit_many(
-                "job_batched",
-                [
-                    {
-                        "source": "simulator",
-                        "time": now,
-                        "job_id": job.job_id,
-                        "seq": seq,
-                        "attempt": self.records[job.job_id].reschedules + 1,
-                    }
-                    for job in pending
-                ],
-            )
-
-        stopwatch = Stopwatch()
-        assignment = np.asarray(self.policy.schedule(instance, self.rng), dtype=np.int64)
-        scheduler_seconds = stopwatch.elapsed
-        timer.add("solve", scheduler_seconds)
-        if assignment.shape != (len(pending),):
-            raise ValueError(
-                f"policy returned an assignment of shape {assignment.shape}, "
-                f"expected ({len(pending)},)"
-            )
-        if assignment.size and (assignment.min() < 0 or assignment.max() >= len(available)):
-            raise ValueError("policy returned machine indices outside the batch")
-
-        with timer.phase("commit"):
-            batch_makespan, committed = self._commit_assignment(
-                now, pending, available, assignment, etc, seq
-            )
-        policy_phases = getattr(self.policy, "last_phases", None)
-        if policy_phases:
-            timer.merge(policy_phases)
-        for name, seconds in timer:
-            self._phase_seconds[name] = self._phase_seconds.get(name, 0.0) + seconds
-            child = self._m_phase_children.get(name)
-            if child is None:
-                child = self._m_phase_children[name] = self._phase_hist.labels(
-                    phase=name
-                )
-            child.observe(seconds, exemplar=seq)
-        self.activations.append(
-            ActivationRecord(
-                time=now,
-                pending_jobs=len(pending),
-                available_machines=len(available),
-                scheduled_jobs=committed,
-                batch_makespan=batch_makespan,
-                scheduler_wall_seconds=scheduler_seconds,
-            )
+        busy_until = np.array(
+            [self.machine_states[machine.machine_id].busy_until for machine in available],
+            dtype=float,
         )
+        tracing = self._trace_log is not None
+        activation = run_activation(
+            pending,
+            available,
+            busy_until,
+            now,
+            lambda instance: self.policy.schedule(instance, self.rng),
+            lambda plan: self._commit(plan, now, pending, available, busy_until),
+            seq=seq,
+            source="simulator",
+            scheduler=self.policy,
+            phase_histogram=self._phase_hist,
+            trace_log=self._trace_log,
+            attempts=(
+                [self.records[job.job_id].reschedules + 1 for job in pending]
+                if tracing
+                else None
+            ),
+        )
+        for name, seconds in activation.phases.items():
+            self._phase_seconds[name] = self._phase_seconds.get(name, 0.0) + seconds
+        summary = self.activations[-1]  # appended by _commit
         self._m_activation_scheduled.inc()
-        self._m_scheduler_seconds.observe(scheduler_seconds)
-        if self._trace_log is not None:
+        self._m_scheduler_seconds.observe(summary.scheduler_wall_seconds)
+        if tracing:
+            # The planned start/finish are committed (and the record
+            # stamped) at this instant, so the lifecycle lines follow the
+            # kernel's job_assigned lines eagerly with the *planned*
+            # timestamps; a later job_revoked line supersedes them in causal
+            # file order.
+            records = [
+                self.records[pending[index].job_id]
+                for index in activation.plan.order[activation.committed].tolist()
+            ]
+            for event, times in (
+                ("job_started", [record.start_time for record in records]),
+                ("job_completed", [record.completion_time for record in records]),
+            ):
+                self._trace_log.emit_many(
+                    event,
+                    [
+                        dict(
+                            source="simulator",
+                            time=time,
+                            job_id=record.job.job_id,
+                            machine_id=record.machine_id,
+                            attempt=record.reschedules + 1,
+                        )
+                        for record, time in zip(records, times)
+                    ],
+                )
             self._trace_log.emit(
                 "activation",
                 source="simulator",
@@ -836,144 +797,68 @@ class GridSimulator:
                 batch_size=len(pending),
                 machines=len(available),
                 mode="normal",
-                scheduler_seconds=scheduler_seconds,
-                scheduled=committed,
-                batch_makespan=batch_makespan,
-                phases=timer.as_dict(),
+                scheduler_seconds=summary.scheduler_wall_seconds,
+                scheduled=summary.scheduled_jobs,
+                batch_makespan=summary.batch_makespan,
+                phases=activation.phases,
             )
 
-    def _commit_assignment(
+    def _commit(
         self,
+        plan: BatchPlan,
         now: float,
         pending: list[GridJob],
         available: list[GridMachine],
-        assignment: np.ndarray,
-        etc: np.ndarray,
-        seq: int = 0,
-    ) -> tuple[float, int]:
-        """Commit the scheduled jobs to the machine queues (SPT order per machine).
+        busy_until: np.ndarray,
+    ) -> tuple[float, np.ndarray]:
+        """Commit the plan to the machine queues on the virtual clock.
 
-        The per-machine shortest-processing-time queueing is computed for the
-        whole batch at once: one stable ``(machine, duration)`` key sort, one
-        cumulative sum with per-machine segment resets.  ``etc`` is the
-        activation's already-built execution-time matrix, so no execution
-        time is recomputed here.  Every committed placement also schedules
-        its ``TASK_END`` event.  Returns ``(batch makespan of the committed
-        work, number of committed jobs)`` — under a ``commit_horizon`` only
-        the placements that start inside the horizon are committed.
+        Work may start once its machine finishes its committed work (never
+        before the activation itself); under a ``commit_horizon`` only the
+        placements that start inside the horizon are locked in.  Every
+        committed placement schedules its ``TASK_END`` event.
         """
-        count = len(pending)
-        if count == 0:
-            return 0.0, 0
-        durations = etc[np.arange(count), assignment]
-        # Stable sort by (machine, duration): within a machine this is the
-        # SPT order, ties broken by batch position exactly like the previous
-        # per-machine stable argsort.
-        order = np.lexsort((durations, assignment))
-        sorted_machines = assignment[order]
-        sorted_durations = durations[order]
-        # Queue base per machine: work may start once the machine finishes
-        # its committed work (never before the activation itself).
-        queue_base = np.array(
-            [
-                max(now, self.machine_states[machine.machine_id].busy_until)
-                for machine in available
-            ],
-            dtype=float,
-        )
-        # Cumulative duration within each machine segment of the sorted batch.
-        running = np.cumsum(sorted_durations)
-        before = running - sorted_durations
-        positions = np.arange(count)
-        new_segment = np.empty(count, dtype=bool)
-        new_segment[0] = True
-        new_segment[1:] = sorted_machines[1:] != sorted_machines[:-1]
-        segment_start = np.maximum.accumulate(np.where(new_segment, positions, 0))
-        starts = queue_base[sorted_machines] + (before - before[segment_start])
-        finishes = starts + sorted_durations
-
+        queue_base = np.maximum(busy_until, now)
+        starts = plan.starts(queue_base)
+        finishes = starts + plan.durations
         # Rolling horizon: only placements starting soon are locked in; the
         # tail of the plan stays pending for the next activation.  Starts
         # increase within every machine segment, so the committed jobs are a
         # contiguous prefix of each machine's planned queue.
         horizon = self.config.commit_horizon
         if horizon is None:
-            commit = np.ones(count, dtype=bool)
+            commit = np.ones(starts.size, dtype=bool)
         else:
             commit = starts < now + horizon
 
-        tracing = self._trace_log is not None
-        assigned_records: list[dict] = []
-        started_records: list[dict] = []
-        completed_records: list[dict] = []
-        for position in np.nonzero(commit)[0]:
-            job = pending[int(order[position])]
-            machine = available[int(sorted_machines[position])]
-            start = float(starts[position])
-            finish = float(finishes[position])
-            record = self.records[job.job_id]
+        positions = np.flatnonzero(commit)
+        for index, column, start, finish in zip(
+            plan.order[positions].tolist(),
+            plan.columns[positions].tolist(),
+            starts[positions].tolist(),
+            finishes[positions].tolist(),
+        ):
+            job_id = pending[index].job_id
+            machine_id = available[column].machine_id
+            record = self.records[job_id]
             record.state = JobState.COMPLETED
-            record.machine_id = machine.machine_id
+            record.machine_id = machine_id
             record.start_time = start
             record.completion_time = finish
-            record.note(
-                f"scheduled at t={now:.2f} on machine {machine.machine_id} "
-                f"(start={start:.2f}, finish={finish:.2f})"
+            self._queues[machine_id].append(
+                _QueueEntry(job_id=job_id, start=start, finish=finish)
             )
-            self._queues[machine.machine_id].append(
-                _QueueEntry(job_id=job.job_id, start=start, finish=finish)
-            )
-            self._pending_positions.discard(self._job_position[job.job_id])
+            self._pending_positions.discard(self._job_position[job_id])
             self._unfinished -= 1
-            self._has_commits.add(machine.machine_id)
-            self._events.push(finish, EventType.TASK_END, machine.machine_id)
-            if tracing:
-                # The planned start/finish are committed (and the record
-                # stamped) at this instant, so the lifecycle lines are
-                # emitted eagerly with the *planned* timestamps; a later
-                # job_revoked line supersedes them in causal file order.
-                attempt = record.reschedules + 1
-                assigned_records.append(
-                    {
-                        "source": "simulator",
-                        "time": now,
-                        "job_id": job.job_id,
-                        "seq": seq,
-                        "machine_id": machine.machine_id,
-                        "attempt": attempt,
-                    }
-                )
-                started_records.append(
-                    {
-                        "source": "simulator",
-                        "time": start,
-                        "job_id": job.job_id,
-                        "machine_id": machine.machine_id,
-                        "attempt": attempt,
-                    }
-                )
-                completed_records.append(
-                    {
-                        "source": "simulator",
-                        "time": finish,
-                        "job_id": job.job_id,
-                        "machine_id": machine.machine_id,
-                        "attempt": attempt,
-                    }
-                )
-        if tracing:
-            self._trace_log.emit_many("job_assigned", assigned_records)
-            self._trace_log.emit_many("job_started", started_records)
-            self._trace_log.emit_many("job_completed", completed_records)
+            self._has_commits.add(machine_id)
+            self._events.push(finish, EventType.TASK_END, machine_id)
 
-        committed_machines = sorted_machines[commit]
+        committed_columns = plan.columns[commit]
         busy_totals = np.bincount(
-            committed_machines, weights=sorted_durations[commit], minlength=len(available)
+            committed_columns, weights=plan.durations[commit], minlength=len(available)
         )
-        job_counts = np.bincount(committed_machines, minlength=len(available))
-        # Per machine, the committed queue ends at its last committed finish.
-        queue_end = np.copy(queue_base)
-        np.maximum.at(queue_end, committed_machines, finishes[commit])
+        job_counts = np.bincount(committed_columns, minlength=len(available))
+        queue_end = plan.queue_ends(queue_base, commit)
         batch_finish = now
         for col, machine in enumerate(available):
             if job_counts[col] == 0:
@@ -983,7 +868,17 @@ class GridSimulator:
             state.completed_jobs += int(job_counts[col])
             state.busy_until = float(queue_end[col])
             batch_finish = max(batch_finish, state.busy_until)
-        return batch_finish - now, int(commit.sum())
+        self.activations.append(
+            ActivationRecord(
+                time=now,
+                pending_jobs=len(pending),
+                available_machines=len(available),
+                scheduled_jobs=int(commit.sum()),
+                batch_makespan=batch_finish - now,
+                scheduler_wall_seconds=plan.solve_seconds,
+            )
+        )
+        return now, commit
 
     def _finished(self, now: float) -> bool:
         """All jobs settled, no arrivals pending, no revocations to come.

@@ -55,14 +55,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.config import ServiceConfig
+from repro.grid.activation import BatchPlan, run_activation
 from repro.grid.job import GridJob
-from repro.grid.machine import GridMachine, execution_times_matrix
+from repro.grid.machine import GridMachine
 from repro.grid.metrics import latency_percentiles
-from repro.model.instance import SchedulingInstance
 from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.phases import PhaseTimer
 from repro.utils.rng import RNGLike, as_generator
-from repro.utils.timer import Stopwatch
 
 __all__ = ["Submission", "ActivationOutcome", "ServiceSnapshot", "SchedulerCore"]
 
@@ -174,9 +172,10 @@ class SchedulerCore:
     Parameters
     ----------
     machines:
-        The static machine park the service schedules onto (the live
-        service's analogue of the simulator's available set; churn stays a
-        simulator concern for now).
+        The machine park the service schedules onto (the live service's
+        analogue of the simulator's available set).  Membership is fixed,
+        but :meth:`break_machine` / :meth:`repair_machine` take a machine
+        out of and back into the batches; committed work is not revoked.
     scheduler:
         Any object with ``schedule(instance, rng)``; if it also exposes
         ``degraded_schedule(instance, rng)`` (the warm
@@ -311,17 +310,15 @@ class SchedulerCore:
             "Per-job scheduling latency: accepted to planned.",
             buckets=buckets,
         )
-        # Activation phase profiler: per-phase histogram children are
-        # resolved lazily (phase names partly come from the scheduler's
-        # ``last_phases``); each observation carries the activation sequence
-        # number as an exemplar linking it to the matching trace span.
+        # Activation phase profiler, fed by the activation kernel; each
+        # observation carries the activation sequence number as an exemplar
+        # linking it to the matching trace span.
         self._m_phases = self.registry.histogram(
             "repro_service_activation_phase_seconds",
             "Wall-clock seconds one activation spent in each named phase.",
             labels=("phase",),
             buckets=buckets,
         )
-        self._m_phase_children: dict[str, Any] = {}
         self._activation_seq = 0
 
     # ------------------------------------------------------------------ #
@@ -494,10 +491,15 @@ class SchedulerCore:
     def activate(self) -> ActivationOutcome:
         """Drain the queue into one batch, schedule it, commit the plan.
 
-        The queue drain, mode transition and plan commit run under the
-        lock; the scheduler itself runs *outside* it, so submissions keep
-        flowing (and shedding) while a cMA activation crunches — which is
-        exactly the window where genuine overload happens.
+        The shared activation kernel (:func:`~repro.grid.activation.
+        run_activation`) on the wall clock.  The queue drain, mode
+        transition and busy-track snapshot run under the lock, and so does
+        the commit; the instance build and the scheduler run *outside* it,
+        so submissions keep flowing (and shedding) while a cMA activation
+        crunches — which is exactly the window where genuine overload
+        happens.  If the scheduler raises or returns an invalid assignment,
+        the batch goes back to the front of the queue untouched and the
+        error propagates: no accepted job is ever lost to a failed solve.
         """
         with self._lock:
             now = self._now()
@@ -548,52 +550,16 @@ class SchedulerCore:
             mode = self.mode
             self._activation_seq += 1
             seq = self._activation_seq
-            timer = PhaseTimer()
-            pending = [submission.job for submission in batch]
-            with timer.phase("instance_build"):
-                # The batch is solved over the *up* machines only; a broken
-                # machine keeps its busy-until track but gets no new work.
-                park = [self.machines[int(i)] for i in up_indices]
-                etc = execution_times_matrix(pending, park)
-                ready = np.maximum(0.0, self._busy_until[up_indices] - now)
-                instance = SchedulingInstance(
-                    etc=etc,
-                    ready_times=ready,
-                    name=f"live@t={now:.2f}",
-                    metadata={
-                        "job_ids": np.array(
-                            [job.job_id for job in pending], dtype=np.int64
-                        ),
-                        "machine_ids": up_indices.astype(np.int64),
-                    },
-                )
+            # The batch is solved over the *up* machines only; a broken
+            # machine keeps its busy-until track but gets no new work.
+            busy_until = self._busy_until[up_indices]
 
         self._m_queue_depth.set(0)
-        if self.trace_log is not None:
-            # Every batched job is followed by a job_assigned line from this
-            # same activation (a stalled batch never reaches this point), so
-            # the per-job lifecycle stays a legal DAG.
-            self.trace_log.emit_many(
-                "job_batched",
-                [
-                    {
-                        "source": "service",
-                        "time": now,
-                        "job_id": submission.job.job_id,
-                        "seq": seq,
-                        "attempt": 1,
-                    }
-                    for submission in batch
-                ],
-            )
         if transition is not None:
             self._m_transitions[transition].inc()
             if self.trace_log is not None:
                 self.trace_log.emit(
-                    "degrade" if transition == "degrade" else "recover",
-                    source="service",
-                    time=now,
-                    backlog=len(batch),
+                    transition, source="service", time=now, backlog=len(batch)
                 )
         # Warm-start reuse and evaluation counts come out of the scheduler
         # stats as per-activation deltas (the warm service keeps cumulative
@@ -621,80 +587,61 @@ class SchedulerCore:
             else None
         )
 
-        stopwatch = Stopwatch()
-        degraded = mode == "degraded" and hasattr(self.scheduler, "degraded_schedule")
-        if degraded:
-            assignment = self.scheduler.degraded_schedule(instance, self.rng)
+        if mode == "degraded" and hasattr(self.scheduler, "degraded_schedule"):
+            schedule = self.scheduler.degraded_schedule
         else:
-            assignment = self.scheduler.schedule(instance, self.rng)
-        assignment = np.asarray(assignment, dtype=np.int64)
-        scheduler_seconds = stopwatch.elapsed
-        timer.add("solve", scheduler_seconds)
-        if assignment.shape != (len(pending),):
-            raise ValueError(
-                f"scheduler returned an assignment of shape {assignment.shape}, "
-                f"expected ({len(pending)},)"
-            )
-        if assignment.size and (
-            assignment.min() < 0 or assignment.max() >= len(park)
-        ):
-            raise ValueError("scheduler returned machine indices outside the park")
+            schedule = self.scheduler.schedule
+        # Filled by the commit, under the lock: empty until the plan lands.
+        latencies: list[float] = []
 
-        durations = etc[np.arange(len(pending)), assignment]
-        # Map batch-local machine columns back to park indices before the
-        # busy-track commit (the scheduler only ever saw the up machines).
-        park_assignment = up_indices[assignment]
-        with timer.phase("commit"):
+        def commit(plan: BatchPlan) -> tuple[float, np.ndarray]:
+            everything = np.ones(len(batch), dtype=bool)
             with self._lock:
                 done = self._now()
-                load = np.bincount(
-                    park_assignment, weights=durations, minlength=len(self.machines)
-                )
-                base = np.maximum(self._busy_until, done)
-                self._busy_until = np.where(load > 0, base + load, self._busy_until)
-                self._busy_time += load
-                self.scheduled += len(pending)
-                latencies = [done - submission.submitted_at for submission in batch]
+                current = self._busy_until[up_indices]
+                base = np.maximum(current, done)
+                ends = plan.queue_ends(base, everything)
+                self._busy_until[up_indices] = np.where(plan.load > 0, ends, current)
+                self._busy_time[up_indices] += plan.load
+                self.scheduled += len(batch)
+                latencies.extend(done - submission.submitted_at for submission in batch)
                 self._latencies.extend(latencies)
                 overflow = len(self._latencies) - self.config.latency_window
                 if overflow > 0:
                     del self._latencies[:overflow]
+            return done, everything
 
-        # The warm scheduler reports its internal split (warm remap,
-        # evaluation loop) for the activation it just solved; merged here it
-        # nests under the core's instance_build / solve / commit envelope.
-        scheduler_phases = getattr(self.scheduler, "last_phases", None)
-        if scheduler_phases:
-            timer.merge(scheduler_phases)
+        pending = [submission.job for submission in batch]
+        try:
+            activation = run_activation(
+                pending,
+                [self.machines[index] for index in up_indices],
+                busy_until,
+                now,
+                lambda instance: schedule(instance, self.rng),
+                commit,
+                seq=seq,
+                source="service",
+                scheduler=self.scheduler,
+                phase_histogram=self._m_phases,
+                trace_log=self.trace_log,
+            )
+        except BaseException as exc:
+            if not latencies:
+                with self._lock:
+                    self._queue = batch + self._queue
+                    depth = len(self._queue)
+                self._m_queue_depth.set(depth)
+            if span is not None:
+                span.update(error=repr(exc))
+                span.close()
+            raise
+
+        scheduler_seconds = activation.plan.solve_seconds
         self._m_activations[mode].inc()
         self._m_scheduler_seconds.observe(scheduler_seconds)
         for latency in latencies:
             self._m_job_latency.observe(latency)
-        for name, seconds in timer:
-            child = self._m_phase_children.get(name)
-            if child is None:
-                child = self._m_phase_children[name] = self._m_phases.labels(
-                    phase=name
-                )
-            child.observe(seconds, exemplar=seq)
-        if self.trace_log is not None:
-            machine_ids = [
-                self.machines[int(index)].machine_id for index in park_assignment
-            ]
-            self.trace_log.emit_many(
-                "job_assigned",
-                [
-                    {
-                        "source": "service",
-                        "time": done,
-                        "job_id": job.job_id,
-                        "seq": seq,
-                        "machine_id": machine_id,
-                        "attempt": 1,
-                    }
-                    for job, machine_id in zip(pending, machine_ids)
-                ],
-            )
         if span is not None:
             stats_after = (
                 (stats.carried_jobs, stats.filled_jobs, stats.evaluations)
@@ -706,13 +653,13 @@ class SchedulerCore:
                 carried=stats_after[0] - stats_before[0],
                 filled=stats_after[1] - stats_before[1],
                 evaluations=stats_after[2] - stats_before[2],
-                scheduled=len(pending),
-                phases=timer.as_dict(),
+                scheduled=len(batch),
+                phases=activation.phases,
             )
             span.close()
         return ActivationOutcome(
             time=now,
-            batch_size=len(pending),
+            batch_size=len(batch),
             scheduled_ids=tuple(job.job_id for job in pending),
             mode=mode,
             scheduler_seconds=scheduler_seconds,

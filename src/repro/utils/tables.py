@@ -6,9 +6,8 @@ and report can simply print the same rows / series the paper reports,
 without a plotting dependency.  The formatting helpers are deliberately
 dumb: they take headers plus rows of values and return a string.
 
-This lives in the utils layer so that both the experiment harness
-(:mod:`repro.experiments.reporting` re-exports it) and the trace subsystem's
-reports can render tables without importing each other.
+This lives in the utils layer so that both the experiment harness and the
+trace subsystem's reports can render tables without importing each other.
 """
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.reporting import (
+from repro.utils.tables import (
     format_mapping,
     format_number,
     format_series,

@@ -41,12 +41,6 @@ class TestJobRecord:
         with pytest.raises(ValueError):
             record.waiting_time
 
-    def test_notes_accumulate(self):
-        record = JobRecord(job=GridJob(0, 10.0, 0.0))
-        record.note("scheduled")
-        record.note("completed")
-        assert record.history == ["scheduled", "completed"]
-
 
 class TestGridMachine:
     def test_execution_time_is_workload_over_mips(self):

@@ -7,6 +7,9 @@ percentile bookkeeping, activation cadence, and the drain-vs-abort
 shutdown contract.
 """
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.core.config import ActivationPolicy, ServiceConfig
 from repro.grid.machine import GridMachine
 from repro.grid.scheduler import HeuristicBatchPolicy
 from repro.grid.service import DynamicSchedulerService
+from repro.obs import TraceLog
 from repro.service import FakeClock, SchedulerCore
 
 
@@ -366,3 +370,60 @@ class TestLatencyBuckets:
             "2.0",
             "+Inf",
         }
+
+
+class TestFailedActivation:
+    """A solve that raises or returns garbage must not lose its batch."""
+
+    class FailsOnce:
+        """Fails the first solve, then places everything on machine 0."""
+
+        def __init__(self, failure):
+            self.failure = failure
+            self.core = None
+            self.calls = 0
+
+        def schedule(self, instance, rng=None):
+            self.calls += 1
+            if self.calls == 1:
+                self.core.submit(100.0)  # races in while the batch is out
+                if self.failure == "raise":
+                    raise RuntimeError("solver crashed")
+                return np.full(instance.nb_jobs, instance.nb_machines, dtype=np.int64)
+            return np.zeros(instance.nb_jobs, dtype=np.int64)
+
+    @pytest.mark.parametrize(
+        "failure, error", [("raise", RuntimeError), ("out_of_range", ValueError)]
+    )
+    def test_failed_solve_requeues_the_batch_at_the_front(self, failure, error):
+        scheduler = self.FailsOnce(failure)
+        buffer = io.StringIO()
+        core = SchedulerCore(
+            make_machines(),
+            scheduler,
+            ServiceConfig(queue_capacity=16),
+            clock=FakeClock(),
+            rng=7,
+            trace_log=TraceLog(buffer),
+        )
+        scheduler.core = core
+        ids = [core.submit(100.0) for _ in range(3)]
+        with pytest.raises(error):
+            core.activate()
+        snapshot = core.snapshot()
+        # Exactly-once partition: every accepted job is still accounted for.
+        assert snapshot.accepted == 4
+        assert snapshot.accepted == (
+            snapshot.scheduled + snapshot.cancelled + snapshot.backlog
+        )
+        assert snapshot.scheduled == 0
+        assert snapshot.backlog == 4
+        # The activation span is closed, carrying the error.
+        events = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        spans = [event for event in events if event["event"] == "activation"]
+        assert len(spans) == 1 and "error" in spans[0]
+        # The failed batch keeps its place ahead of the job that raced in.
+        outcome = core.activate()
+        assert outcome.scheduled_ids == (*ids, 3)
+        assert core.scheduled == 4
+        assert core.backlog == 0
