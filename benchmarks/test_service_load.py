@@ -37,6 +37,8 @@ from repro.core.config import (
 from repro.grid.service import DynamicSchedulerService
 from repro.grid.workload import StaticResourceModel
 from repro.obs import (
+    NULL_REGISTRY,
+    NULL_TRACE,
     MetricsRegistry,
     TraceLog,
     build_timelines,
@@ -77,7 +79,7 @@ def _overload_trace(seed=2007):
     return rescale_trace(trace, _COMPRESSION)
 
 
-def _make_server(seed, registry=None, trace_log=None):
+def _make_server(seed, registry=NULL_REGISTRY, trace_log=NULL_TRACE):
     config = ServiceConfig(
         queue_capacity=_CAPACITY,
         degrade_threshold=48,
@@ -103,7 +105,9 @@ def _make_server(seed, registry=None, trace_log=None):
     return SchedulerServer(core)
 
 
-def _run_at(trace, multiplier, seed=2007, registry=None, trace_log=None):
+def _run_at(
+    trace, multiplier, seed=2007, registry=NULL_REGISTRY, trace_log=NULL_TRACE
+):
     async def run():
         server = _make_server(seed, registry=registry, trace_log=trace_log)
         await server.start()

@@ -110,6 +110,8 @@ from repro.grid import (
 from repro.grid.service import DynamicSchedulerService
 from repro.heuristics import build_schedule, list_heuristics
 from repro.obs import (
+    NULL_REGISTRY,
+    NULL_TRACE,
     MetricsRegistry,
     TraceLog,
     slowest_report,
@@ -888,7 +890,8 @@ def _service_core(args: argparse.Namespace) -> SchedulerCore:
     :class:`~repro.obs.MetricsRegistry` is threaded through the warm
     scheduler and the core (exposed as ``core.registry``; the server's
     ``GET /metrics`` renders it), and the trace log rides on the core as
-    ``core.trace_log`` (the command closes it when the run ends).
+    ``core.trace_log`` (the command closes it when the run ends).  Off,
+    both are the null defaults.
     """
     buckets = None
     if getattr(args, "latency_buckets", None):
@@ -915,8 +918,8 @@ def _service_core(args: argparse.Namespace) -> SchedulerCore:
         latency_buckets=buckets,
     )
     observed = args.metrics_port is not None or args.trace_out
-    registry = MetricsRegistry() if observed else None
-    trace_log = TraceLog(args.trace_out) if args.trace_out else None
+    registry = MetricsRegistry() if observed else NULL_REGISTRY
+    trace_log = TraceLog(args.trace_out) if args.trace_out else NULL_TRACE
     machines = StaticResourceModel(nb_machines=args.machines).generate(rng=args.seed)
     scheduler = DynamicSchedulerService(
         max_seconds=config.max_seconds,
@@ -959,8 +962,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
     finally:
-        if core.trace_log is not None:
-            core.trace_log.close()
+        core.trace_log.close()
     return 0
 
 
@@ -1041,8 +1043,7 @@ def _command_loadgen(args: argparse.Namespace) -> int:
                 chaos_task.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await chaos_task
-            if core.trace_log is not None:
-                core.trace_log.close()
+            core.trace_log.close()
         return report, snapshot.as_dict(), chaos_report
 
     if args.connect:

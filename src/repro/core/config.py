@@ -791,6 +791,23 @@ class ActivationPolicy:
         """Whether this policy schedules ticks on demand."""
         return self.mode == "adaptive"
 
+    def gap(
+        self, backlog: int, interval: float, membership_changed: bool = False
+    ) -> float:
+        """Seconds the next activation waits after the last one.
+
+        *backlog* pending jobs, the driver's ``activation_interval`` as
+        *interval*, and whether the park changed under pending work since
+        the last activation; the rule is the one the attributes describe.
+        """
+        if not self.is_adaptive:
+            return interval
+        if backlog >= self.backlog_threshold or (
+            membership_changed and self.on_machine_change
+        ):
+            return 0.0 if self.min_interval is None else self.min_interval
+        return interval if self.max_interval is None else self.max_interval
+
     @classmethod
     def periodic(cls) -> "ActivationPolicy":
         """The fixed-cadence driver (ticks at ``activation_interval``)."""

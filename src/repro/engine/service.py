@@ -81,7 +81,7 @@ class EvaluationEngine:
         instance: SchedulingInstance,
         fitness_weight: float = DEFAULT_LAMBDA,
         evaluator: FitnessEvaluator | None = None,
-        registry: "MetricsRegistry | None" = None,
+        registry: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
         self.instance = instance
         self.evaluator = (
@@ -92,17 +92,16 @@ class EvaluationEngine:
         # Registry sync baseline: a shared evaluator carries evaluations
         # from earlier runs; only this engine's delta is charged.
         self._evals_synced = self.evaluator.evaluations
-        reg = registry if registry is not None else NULL_REGISTRY
-        self._m_evaluations = reg.counter(
+        self._m_evaluations = registry.counter(
             "repro_engine_evaluations_total",
             "Schedule evaluations charged through the evaluation engine.",
         )
-        self._m_batch_rows = reg.histogram(
+        self._m_batch_rows = registry.histogram(
             "repro_engine_batch_rows",
             "Population rows per batch fitness evaluation.",
             buckets=(1, 4, 16, 64, 256, 1024, 4096),
         )
-        self._m_evals_per_second = reg.gauge(
+        self._m_evals_per_second = registry.gauge(
             "repro_engine_evals_per_second",
             "Evaluation throughput of the engine's last finished run.",
         )

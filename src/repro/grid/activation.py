@@ -39,6 +39,7 @@ from repro.grid.job import GridJob
 from repro.grid.machine import GridMachine, execution_times_matrix
 from repro.model.instance import SchedulingInstance
 from repro.obs.phases import PhaseTimer
+from repro.obs.tracelog import NULL_TRACE
 from repro.utils.timer import Stopwatch
 
 __all__ = ["BatchPlan", "Activation", "run_activation"]
@@ -130,8 +131,8 @@ def run_activation(
     source: str,
     scheduler: Any,
     phase_histogram: Any,
-    trace_log: Any = None,
-    attempts: Sequence[int] | None = None,
+    trace_log: Any = NULL_TRACE,
+    attempt: Callable[[GridJob], int] = lambda job: 1,
 ) -> Activation:
     """Build, solve, plan and commit one non-empty batch.
 
@@ -143,7 +144,9 @@ def run_activation(
     *seq* is the activation sequence number (trace field and exemplar),
     *source* the lifecycle lines' ``source`` field, *scheduler* the object
     whose optional ``last_phases`` split is merged after the solve, and
-    *attempts* the per-job attempt number traced (default: first attempt).
+    *attempt* maps a job to the attempt number traced (default: first
+    attempt).  The lifecycle payloads reach *trace_log* as generators, so
+    the default :data:`~repro.obs.tracelog.NULL_TRACE` never builds them.
     Raises :class:`ValueError` before committing anything when the
     assignment has the wrong shape or range.
     """
@@ -161,16 +164,13 @@ def run_activation(
                 ),
             },
         )
-    if attempts is None:
-        attempts = [1] * len(jobs)
-    if trace_log is not None:
-        trace_log.emit_many(
-            "job_batched",
-            [
-                dict(source=source, time=now, job_id=job.job_id, seq=seq, attempt=attempt)
-                for job, attempt in zip(jobs, attempts)
-            ],
-        )
+    trace_log.emit_many(
+        "job_batched",
+        (
+            dict(source=source, time=now, job_id=job.job_id, seq=seq, attempt=attempt(job))
+            for job in jobs
+        ),
+    )
 
     stopwatch = Stopwatch()
     assignment = np.asarray(solve(instance), dtype=np.int64)
@@ -193,21 +193,20 @@ def run_activation(
         timer.merge(scheduler_phases)
     for name, seconds in timer:
         phase_histogram.labels(phase=name).observe(seconds, exemplar=seq)
-    if trace_log is not None:
-        trace_log.emit_many(
-            "job_assigned",
-            [
-                dict(
-                    source=source,
-                    time=assigned_at,
-                    job_id=jobs[index].job_id,
-                    seq=seq,
-                    machine_id=machines[column].machine_id,
-                    attempt=attempts[index],
-                )
-                for index, column in zip(
-                    plan.order[committed].tolist(), plan.columns[committed].tolist()
-                )
-            ],
-        )
+    trace_log.emit_many(
+        "job_assigned",
+        (
+            dict(
+                source=source,
+                time=assigned_at,
+                job_id=jobs[index].job_id,
+                seq=seq,
+                machine_id=machines[column].machine_id,
+                attempt=attempt(jobs[index]),
+            )
+            for index, column in zip(
+                plan.order[committed].tolist(), plan.columns[committed].tolist()
+            )
+        ),
+    )
     return Activation(plan=plan, committed=committed, phases=timer.as_dict())

@@ -118,7 +118,8 @@ class DynamicSchedulerService:
     registry:
         A :class:`~repro.obs.metrics.MetricsRegistry` charged with the
         warm-start reuse counters (carried/filled/degenerate/degraded jobs,
-        buffer reallocations); defaults to the no-op null registry.
+        buffer reallocations); defaults to the no-op
+        :data:`~repro.obs.metrics.NULL_REGISTRY`.
     """
 
     def __init__(
@@ -129,7 +130,7 @@ class DynamicSchedulerService:
         max_seconds: float = 0.25,
         max_iterations: int | None = 50,
         max_stagnant_iterations: int | None = None,
-        registry: "MetricsRegistry | None" = None,
+        registry: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
         # The cold twin used when warm starting is off: sharing its exact
         # configuration *and* schedule() implementation keeps "off"
@@ -147,7 +148,7 @@ class DynamicSchedulerService:
         self._evaluator = FitnessEvaluator(self.config.fitness_weight)
         self._batch: BatchEvaluator | None = None
         self._plan: dict[int, int] = {}
-        self._registry = registry if registry is not None else NULL_REGISTRY
+        self._registry = registry
         jobs = self._registry.counter(
             "repro_scheduler_jobs_total",
             "Jobs planned by the warm scheduler, by placement path.",

@@ -73,6 +73,7 @@ from repro.grid.machine import GridMachine, MachineState
 from repro.grid.metrics import ActivationRecord, MachineEvent, SimulationMetrics
 from repro.grid.scheduler import BatchSchedulingPolicy
 from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.tracelog import NULL_TRACE
 from repro.utils.rng import RNGLike, as_generator
 from repro.utils.validation import check_integer, check_positive
 
@@ -150,8 +151,8 @@ class GridSimulator:
         config: SimulationConfig | None = None,
         rng: RNGLike = None,
         recorder: object | None = None,
-        registry: object | None = None,
-        trace_log: object | None = None,
+        registry: object = NULL_REGISTRY,
+        trace_log: object = NULL_TRACE,
     ) -> None:
         if not machines:
             raise ValueError("the grid needs at least one machine")
@@ -244,9 +245,8 @@ class GridSimulator:
         # Observability: per-kind event counters and per-driver activation
         # counters are resolved once here, so the event loop only touches
         # pre-bound children (no-ops under the null registry).
-        reg = registry if registry is not None else NULL_REGISTRY
         self._trace_log = trace_log
-        events_total = reg.counter(
+        events_total = registry.counter(
             "repro_sim_events_total",
             "Simulation events drained from the event queue, by kind.",
             labels=("kind",),
@@ -259,7 +259,7 @@ class GridSimulator:
             if self.config.activation is not None and self.config.activation.is_adaptive
             else "periodic"
         )
-        activations = reg.counter(
+        activations = registry.counter(
             "repro_sim_activations_total",
             "Scheduler activations fired by the simulation driver.",
             labels=("driver", "outcome"),
@@ -268,7 +268,7 @@ class GridSimulator:
             driver=driver, outcome="scheduled"
         )
         self._m_activation_idle = activations.labels(driver=driver, outcome="idle")
-        self._m_scheduler_seconds = reg.histogram(
+        self._m_scheduler_seconds = registry.histogram(
             "repro_sim_scheduler_seconds",
             "Wall-clock seconds one scheduler activation took.",
         )
@@ -277,7 +277,7 @@ class GridSimulator:
         # build, solve, commit, plus whatever the policy reports via
         # ``last_phases``) and observes each with the activation sequence
         # number as an exemplar linking the histogram to the trace span.
-        self._phase_hist = reg.histogram(
+        self._phase_hist = registry.histogram(
             "repro_sim_activation_phase_seconds",
             "Wall-clock seconds one activation spent in each named phase.",
             labels=("phase",),
@@ -286,7 +286,7 @@ class GridSimulator:
         self._phase_seconds: dict[str, float] = {}
         # Failure-model counters: revocations by cause, retry outcomes,
         # user cancellations and SLA misses.
-        revocations = reg.counter(
+        revocations = registry.counter(
             "repro_sim_revocations_total",
             "In-flight placements revoked, by cause.",
             labels=("cause",),
@@ -294,18 +294,18 @@ class GridSimulator:
         self._m_revoked = {
             cause: revocations.labels(cause=cause) for cause in ("leave", "breakdown")
         }
-        retries = reg.counter(
+        retries = registry.counter(
             "repro_sim_retries_total",
             "Retry decisions for revoked jobs, by outcome.",
             labels=("outcome",),
         )
         self._m_retry_requeued = retries.labels(outcome="requeued")
         self._m_retry_dropped = retries.labels(outcome="dropped")
-        self._m_cancelled = reg.counter(
+        self._m_cancelled = registry.counter(
             "repro_sim_cancellations_total",
             "Jobs withdrawn by their user before finishing.",
         )
-        self._m_deadline_misses = reg.counter(
+        self._m_deadline_misses = registry.counter(
             "repro_sim_deadline_misses_total",
             "Jobs that finished past their due date or failed with one set.",
         )
@@ -323,8 +323,8 @@ class GridSimulator:
         config: SimulationConfig | None = None,
         rng: RNGLike = None,
         recorder: object | None = None,
-        registry: object | None = None,
-        trace_log: object | None = None,
+        registry: object = NULL_REGISTRY,
+        trace_log: object = NULL_TRACE,
     ) -> "GridSimulator":
         """A simulator whose arrival source is a recorded or synthetic trace.
 
@@ -365,16 +365,7 @@ class GridSimulator:
 
         activation = self.config.activation
         adaptive = activation is not None and activation.is_adaptive
-        if adaptive:
-            self._min_gap = (
-                0.0 if activation.min_interval is None else activation.min_interval
-            )
-            self._max_gap = (
-                self.config.activation_interval
-                if activation.max_interval is None
-                else activation.max_interval
-            )
-        else:
+        if not adaptive:
             # The periodic driver seeds tick 0 at t=0 and chains the next
             # tick after each one fires — identical activation timestamps
             # (k * activation_interval, capped at max_activations) to the
@@ -447,14 +438,13 @@ class GridSimulator:
         else:
             self._pending_positions.add(position)
             self._submitted += 1
-            if self._trace_log is not None:
-                self._trace_log.emit(
-                    "job_submitted",
-                    source="simulator",
-                    time=now,
-                    job_id=self.jobs[position].job_id,
-                    attempt=1,
-                )
+            self._trace_log.emit(
+                "job_submitted",
+                source="simulator",
+                time=now,
+                job_id=self.jobs[position].job_id,
+                attempt=1,
+            )
         if adaptive:
             self._ensure_wakeup(now)
 
@@ -465,17 +455,11 @@ class GridSimulator:
         self.machine_events.append(
             MachineEvent(time=now, machine_id=machine.machine_id, event="join")
         )
-        if self._trace_log is not None:
-            self._trace_log.emit(
-                "machine_join",
-                source="simulator",
-                time=now,
-                machine_id=machine.machine_id,
-            )
+        self._trace_log.emit(
+            "machine_join", source="simulator", time=now, machine_id=machine.machine_id
+        )
         if adaptive:
-            if self._pending_positions:
-                self._membership_dirty = True
-            self._ensure_wakeup(now)
+            self._ensure_wakeup(now, membership_changed=True)
 
     def _handle_leave(self, position: int, now: float, adaptive: bool) -> None:
         """One machine's departure: revoke its in-flight work, exactly once."""
@@ -490,15 +474,12 @@ class GridSimulator:
         self.machine_events.append(
             MachineEvent(time=now, machine_id=machine_id, event="leave")
         )
-        if self._trace_log is not None:
-            self._trace_log.emit(
-                "machine_leave", source="simulator", time=now, machine_id=machine_id
-            )
+        self._trace_log.emit(
+            "machine_leave", source="simulator", time=now, machine_id=machine_id
+        )
         self._revoke_in_flight(machine_id, now, cause="leave")
         if adaptive:
-            if self._pending_positions:
-                self._membership_dirty = True
-            self._ensure_wakeup(now)
+            self._ensure_wakeup(now, membership_changed=True)
 
     def _handle_breakdown(self, position: int, now: float, adaptive: bool) -> None:
         """One machine's breakdown: revoke its in-flight work; it stays parked."""
@@ -515,15 +496,12 @@ class GridSimulator:
         self.machine_events.append(
             MachineEvent(time=now, machine_id=machine_id, event="breakdown")
         )
-        if self._trace_log is not None:
-            self._trace_log.emit(
-                "machine_breakdown", source="simulator", time=now, machine_id=machine_id
-            )
+        self._trace_log.emit(
+            "machine_breakdown", source="simulator", time=now, machine_id=machine_id
+        )
         self._revoke_in_flight(machine_id, now, cause="breakdown")
         if adaptive:
-            if self._pending_positions:
-                self._membership_dirty = True
-            self._ensure_wakeup(now)
+            self._ensure_wakeup(now, membership_changed=True)
 
     def _handle_repair(self, position: int, now: float, adaptive: bool) -> None:
         """One machine's repair: make it schedulable again."""
@@ -535,14 +513,11 @@ class GridSimulator:
         self.machine_events.append(
             MachineEvent(time=now, machine_id=machine_id, event="repair")
         )
-        if self._trace_log is not None:
-            self._trace_log.emit(
-                "machine_repair", source="simulator", time=now, machine_id=machine_id
-            )
+        self._trace_log.emit(
+            "machine_repair", source="simulator", time=now, machine_id=machine_id
+        )
         if adaptive:
-            if self._pending_positions:
-                self._membership_dirty = True
-            self._ensure_wakeup(now)
+            self._ensure_wakeup(now, membership_changed=True)
 
     def _handle_cancel(self, position: int, now: float, adaptive: bool) -> None:
         """A user withdraws a job, wherever it currently sits."""
@@ -585,10 +560,9 @@ class GridSimulator:
         record.start_time = None
         record.completion_time = None
         self._m_cancelled.inc()
-        if self._trace_log is not None:
-            self._trace_log.emit(
-                "task_cancel", source="simulator", time=now, job_id=job.job_id
-            )
+        self._trace_log.emit(
+            "task_cancel", source="simulator", time=now, job_id=job.job_id
+        )
 
     def _revoke_in_flight(self, machine_id: int, now: float, cause: str) -> None:
         """Revoke every placement still outstanding on *machine_id*.
@@ -615,42 +589,39 @@ class GridSimulator:
             record.completion_time = None
             record.reschedules += 1
             self._m_revoked[cause].inc()
-            if self._trace_log is not None:
-                # The revocation line supersedes the attempt's eagerly
-                # emitted planned job_started/job_completed lines: timeline
-                # readers process events in file (causal) order.
-                self._trace_log.emit(
-                    "job_revoked",
-                    source="simulator",
-                    time=now,
-                    job_id=entry.job_id,
-                    attempt=record.reschedules,
-                    cause=cause,
-                )
+            # The revocation line supersedes the attempt's eagerly emitted
+            # planned job_started/job_completed lines: timeline readers
+            # process events in file (causal) order.
+            self._trace_log.emit(
+                "job_revoked",
+                source="simulator",
+                time=now,
+                job_id=entry.job_id,
+                attempt=record.reschedules,
+                cause=cause,
+            )
             if retry is None:
                 record.state = JobState.RESUBMITTED
                 self._pending_positions.add(self._job_position[entry.job_id])
                 self._unfinished += 1
-                if self._trace_log is not None:
-                    self._trace_log.emit(
-                        "job_retried",
-                        source="simulator",
-                        time=now,
-                        job_id=entry.job_id,
-                        attempt=record.reschedules + 1,
-                        retry_at=now,
-                    )
+                self._trace_log.emit(
+                    "job_retried",
+                    source="simulator",
+                    time=now,
+                    job_id=entry.job_id,
+                    attempt=record.reschedules + 1,
+                    retry_at=now,
+                )
             elif record.reschedules > retry.max_attempts:
                 record.state = JobState.FAILED
                 self._m_retry_dropped.inc()
-                if self._trace_log is not None:
-                    self._trace_log.emit(
-                        "job_dropped",
-                        source="simulator",
-                        time=now,
-                        job_id=entry.job_id,
-                        attempts=record.reschedules,
-                    )
+                self._trace_log.emit(
+                    "job_dropped",
+                    source="simulator",
+                    time=now,
+                    job_id=entry.job_id,
+                    attempts=record.reschedules,
+                )
             else:
                 record.state = JobState.RESUBMITTED
                 self._unfinished += 1
@@ -662,15 +633,14 @@ class GridSimulator:
                 else:
                     self._retry_positions.add(position)
                     self._events.push(now + delay, EventType.TASK_SUBMIT, position)
-                if self._trace_log is not None:
-                    self._trace_log.emit(
-                        "job_retried",
-                        source="simulator",
-                        time=now,
-                        job_id=entry.job_id,
-                        attempt=record.reschedules + 1,
-                        retry_at=now + max(0.0, delay),
-                    )
+                self._trace_log.emit(
+                    "job_retried",
+                    source="simulator",
+                    time=now,
+                    job_id=entry.job_id,
+                    attempt=record.reschedules + 1,
+                    retry_at=now + max(0.0, delay),
+                )
             processed = max(0.0, min(entry.finish, now) - entry.start)
             state.busy_time -= (entry.finish - entry.start) - processed
             state.completed_jobs -= 1
@@ -686,22 +656,24 @@ class GridSimulator:
         if adaptive:
             self._ensure_wakeup(now)
 
-    def _ensure_wakeup(self, now: float) -> None:
+    def _ensure_wakeup(self, now: float, membership_changed: bool = False) -> None:
         """Adaptive driver: keep one live tick scheduled while work pends.
 
-        A triggered wakeup (backlog at threshold, membership change) fires
-        at ``last activation + min_interval``; otherwise the fallback fires
-        at ``last activation + max_interval``.  Only a strictly earlier
-        target replaces the live tick — the superseded tick is skipped by
-        timestamp when it pops.
+        The target is the last activation plus the policy's
+        :meth:`~repro.core.config.ActivationPolicy.gap`; a membership change
+        (join, leave, breakdown, repair) under pending work stays a trigger
+        until the next activation.  Only a strictly earlier target replaces
+        the live tick — the superseded tick is skipped by timestamp when it
+        pops.
         """
         if not self._pending_positions:
             return
-        policy = self.config.activation
-        triggered = len(self._pending_positions) >= policy.backlog_threshold or (
-            self._membership_dirty and policy.on_machine_change
+        self._membership_dirty |= membership_changed
+        gap = self.config.activation.gap(
+            len(self._pending_positions),
+            self.config.activation_interval,
+            membership_changed=self._membership_dirty,
         )
-        gap = self._min_gap if triggered else self._max_gap
         target = max(now, self._last_activation + gap)
         if self._next_tick is None or target < self._next_tick:
             self._next_tick = target
@@ -737,7 +709,6 @@ class GridSimulator:
             [self.machine_states[machine.machine_id].busy_until for machine in available],
             dtype=float,
         )
-        tracing = self._trace_log is not None
         activation = run_activation(
             pending,
             available,
@@ -750,58 +721,49 @@ class GridSimulator:
             scheduler=self.policy,
             phase_histogram=self._phase_hist,
             trace_log=self._trace_log,
-            attempts=(
-                [self.records[job.job_id].reschedules + 1 for job in pending]
-                if tracing
-                else None
-            ),
+            attempt=lambda job: self.records[job.job_id].reschedules + 1,
         )
         for name, seconds in activation.phases.items():
             self._phase_seconds[name] = self._phase_seconds.get(name, 0.0) + seconds
         summary = self.activations[-1]  # appended by _commit
         self._m_activation_scheduled.inc()
         self._m_scheduler_seconds.observe(summary.scheduler_wall_seconds)
-        if tracing:
-            # The planned start/finish are committed (and the record
-            # stamped) at this instant, so the lifecycle lines follow the
-            # kernel's job_assigned lines eagerly with the *planned*
-            # timestamps; a later job_revoked line supersedes them in causal
-            # file order.
-            records = [
-                self.records[pending[index].job_id]
-                for index in activation.plan.order[activation.committed].tolist()
-            ]
-            for event, times in (
-                ("job_started", [record.start_time for record in records]),
-                ("job_completed", [record.completion_time for record in records]),
-            ):
-                self._trace_log.emit_many(
-                    event,
-                    [
-                        dict(
-                            source="simulator",
-                            time=time,
-                            job_id=record.job.job_id,
-                            machine_id=record.machine_id,
-                            attempt=record.reschedules + 1,
-                        )
-                        for record, time in zip(records, times)
-                    ],
-                )
-            self._trace_log.emit(
-                "activation",
-                source="simulator",
-                time=now,
-                seq=seq,
-                backlog=len(pending),
-                batch_size=len(pending),
-                machines=len(available),
-                mode="normal",
-                scheduler_seconds=summary.scheduler_wall_seconds,
-                scheduled=summary.scheduled_jobs,
-                batch_makespan=summary.batch_makespan,
-                phases=activation.phases,
+        # The planned start/finish are committed (and the record stamped) at
+        # this instant, so the lifecycle lines follow the kernel's
+        # job_assigned lines eagerly with the *planned* timestamps; a later
+        # job_revoked line supersedes them in causal file order.
+        committed = activation.plan.order[activation.committed].tolist()
+        for event, planned in (
+            ("job_started", lambda record: record.start_time),
+            ("job_completed", lambda record: record.completion_time),
+        ):
+            self._trace_log.emit_many(
+                event,
+                (
+                    dict(
+                        source="simulator",
+                        time=planned(record),
+                        job_id=record.job.job_id,
+                        machine_id=record.machine_id,
+                        attempt=record.reschedules + 1,
+                    )
+                    for record in (self.records[pending[index].job_id] for index in committed)
+                ),
             )
+        self._trace_log.emit(
+            "activation",
+            source="simulator",
+            time=now,
+            seq=seq,
+            backlog=len(pending),
+            batch_size=len(pending),
+            machines=len(available),
+            mode="normal",
+            scheduler_seconds=summary.scheduler_wall_seconds,
+            scheduled=summary.scheduled_jobs,
+            batch_makespan=summary.batch_makespan,
+            phases=activation.phases,
+        )
 
     def _commit(
         self,
@@ -945,28 +907,26 @@ class GridSimulator:
             jobs_with_deadlines += 1
             if record.state is JobState.FAILED:
                 missed += 1
-                if self._trace_log is not None:
-                    self._trace_log.emit(
-                        "job_deadline_missed",
-                        source="simulator",
-                        time=record.job.due_date,
-                        job_id=record.job.job_id,
-                        tardiness=0.0,
-                    )
+                self._trace_log.emit(
+                    "job_deadline_missed",
+                    source="simulator",
+                    time=record.job.due_date,
+                    job_id=record.job.job_id,
+                    tardiness=0.0,
+                )
             elif record.state is JobState.COMPLETED and record.completion_time is not None:
                 late = record.completion_time - record.job.due_date
                 if late > 0.0:
                     missed += 1
                     total_tardiness += late
                     max_tardiness = max(max_tardiness, late)
-                    if self._trace_log is not None:
-                        self._trace_log.emit(
-                            "job_deadline_missed",
-                            source="simulator",
-                            time=record.completion_time,
-                            job_id=record.job.job_id,
-                            tardiness=late,
-                        )
+                    self._trace_log.emit(
+                        "job_deadline_missed",
+                        source="simulator",
+                        time=record.completion_time,
+                        job_id=record.job.job_id,
+                        tardiness=late,
+                    )
         if missed:
             self._m_deadline_misses.inc(missed)
         return SimulationMetrics.from_records(

@@ -6,11 +6,14 @@ The unified observability layer every subsystem hangs its counters on:
   families with labels, rendered in the Prometheus text exposition format
   (:mod:`repro.obs.metrics`), validated back by the strict parser in
   :mod:`repro.obs.exposition`;
-* :data:`NULL_REGISTRY` — the no-op default every instrumented constructor
-  takes, so hot paths stay allocation-free with observability off;
 * :class:`TraceLog` — structured JSON-lines tracing with a span API
   (:mod:`repro.obs.tracelog`), summarized back into per-activation tables
   by :mod:`repro.obs.summarize` (``repro-scheduler obs summarize``);
+* :data:`NULL_REGISTRY` and :data:`NULL_TRACE` — the no-op defaults every
+  instrumented constructor takes for its ``registry`` and ``trace_log``.
+  Observability off means these null objects, never ``None``: call sites
+  record unconditionally, with no traced/untraced branch, and hot paths
+  stay allocation-free;
 * :class:`PhaseTimer` — named sub-span timing inside one activation
   (:mod:`repro.obs.phases`), feeding per-phase histograms and trace spans;
 * :class:`JobTimeline` — per-job lifecycle reconstruction and latency
@@ -45,7 +48,7 @@ from repro.obs.timeline import (
     slowest_table,
     timeline_report,
 )
-from repro.obs.tracelog import TraceLog, TraceSpan, read_trace
+from repro.obs.tracelog import NULL_TRACE, TraceLog, TraceSpan, read_trace
 
 __all__ = [
     "Counter",
@@ -58,6 +61,7 @@ __all__ = [
     "parse_exposition",
     "TraceLog",
     "TraceSpan",
+    "NULL_TRACE",
     "read_trace",
     "activation_rows",
     "event_counts",

@@ -15,7 +15,10 @@ event.  The instrumented layers emit two shapes:
 
 The log is append-only, thread-safe (the live service writes from an
 executor thread), and flushed per line so a crash loses at most the event
-being written.  ``repro-scheduler obs summarize`` (see
+being written.  Tracing off is :data:`NULL_TRACE`, the shared no-op log
+every instrumented constructor defaults to: call sites emit
+unconditionally, and batch payloads handed to :meth:`TraceLog.emit_many`
+as generators are never built.  ``repro-scheduler obs summarize`` (see
 :mod:`repro.obs.summarize`) turns a trace file back into per-activation
 tables.
 """
@@ -27,13 +30,13 @@ import json
 import threading
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
 from repro.utils.timer import Stopwatch
 
-__all__ = ["TraceLog", "TraceSpan", "read_trace"]
+__all__ = ["TraceLog", "TraceSpan", "NULL_TRACE", "read_trace"]
 
 
 def _jsonable(value: Any) -> Any:
@@ -162,23 +165,22 @@ class TraceLog:
         record = {"event": event, **fields}
         self._write_lines([json.dumps(record, default=_jsonable, allow_nan=False)])
 
-    def emit_many(self, event: str, records: list[dict[str, Any]]) -> None:
+    def emit_many(self, event: str, records: Iterable[dict[str, Any]]) -> None:
         """Write one *event*-typed line per record, in one lock/flush round.
 
         The batched write path of per-job lifecycle tracing: one activation
         emits a ``job_batched``/``job_assigned`` line for every job in its
         batch, and paying the lock and flush once per batch (instead of
         once per job) is what keeps job tracing inside the service's
-        overhead budget.
+        overhead budget.  *records* may be any iterable; callers pass
+        generators so that :data:`NULL_TRACE` never builds the payloads.
         """
-        if not records:
-            return
-        self._write_lines(
-            [
-                json.dumps({"event": event, **record}, default=_jsonable, allow_nan=False)
-                for record in records
-            ]
-        )
+        lines = [
+            json.dumps({"event": event, **record}, default=_jsonable, allow_nan=False)
+            for record in records
+        ]
+        if lines:
+            self._write_lines(lines)
 
     def rotate(self, target: str | Path | io.TextIOBase | Any | None = None) -> None:
         """Start a fresh log segment, resetting the ``max_bytes`` guard.
@@ -231,6 +233,41 @@ class TraceLog:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+class _NullTraceLog(TraceLog):
+    """The do-nothing trace log every instrumented constructor defaults to.
+
+    Every call is empty, no handle is opened and the counters stay 0.  The
+    log is also its own span: :meth:`span` returns the log itself, whose
+    :meth:`update` and :meth:`close` do nothing, so an activation span
+    costs no allocation either.
+    """
+
+    def __init__(self) -> None:
+        self.bytes_written = self.events_written = self.events_dropped = 0
+
+    def emit(self, event: str, **fields: Any) -> None:
+        pass
+
+    def emit_many(self, event: str, records: Iterable[dict[str, Any]]) -> None:
+        pass
+
+    def rotate(self, target: Any = None) -> None:
+        pass
+
+    def span(self, event: str, **fields: Any) -> "_NullTraceLog":  # type: ignore[override]
+        return self
+
+    def update(self, **fields: Any) -> "_NullTraceLog":
+        return self
+
+    def close(self) -> None:
+        pass
+
+
+#: The shared null trace log: tracing off, with no branch at the call sites.
+NULL_TRACE = _NullTraceLog()
 
 
 def read_trace(path: str | Path) -> list[dict[str, Any]]:

@@ -76,8 +76,8 @@ class LoadGenerator:
         A :class:`~repro.obs.metrics.MetricsRegistry` the generator reports
         through: submissions by outcome and its own max lag (the
         generator's health gauge — lag rivaling the inter-arrival gaps
-        means the offered rate was not met); defaults to the no-op null
-        registry.
+        means the offered rate was not met); defaults to the no-op
+        :data:`~repro.obs.metrics.NULL_REGISTRY`.
     """
 
     def __init__(
@@ -85,19 +85,18 @@ class LoadGenerator:
         trace: Trace,
         profile: LoadProfile | None = None,
         *,
-        registry: "MetricsRegistry | None" = None,
+        registry: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
         self.trace = trace
         self.profile = profile if profile is not None else LoadProfile()
-        reg = registry if registry is not None else NULL_REGISTRY
-        submissions = reg.counter(
+        submissions = registry.counter(
             "repro_loadgen_submissions_total",
             "Load-generator submissions by outcome.",
             labels=("outcome",),
         )
         self._m_accepted = submissions.labels(outcome="accepted")
         self._m_shed = submissions.labels(outcome="shed")
-        self._m_max_lag = reg.gauge(
+        self._m_max_lag = registry.gauge(
             "repro_loadgen_max_lag_seconds",
             "Largest planned-vs-actual send lag of the open-loop generator.",
         )

@@ -60,6 +60,7 @@ from repro.grid.job import GridJob
 from repro.grid.machine import GridMachine
 from repro.grid.metrics import latency_percentiles
 from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.tracelog import NULL_TRACE
 from repro.utils.rng import RNGLike, as_generator
 
 __all__ = ["Submission", "ActivationOutcome", "ServiceSnapshot", "SchedulerCore"]
@@ -193,14 +194,16 @@ class SchedulerCore:
     registry:
         A :class:`~repro.obs.metrics.MetricsRegistry` the core charges its
         operational metrics into (submissions by outcome, queue depth,
-        mode transitions, scheduling-latency histograms); defaults to the
-        no-op null registry, so the submit/activate hot paths stay
-        allocation-free with observability off.  Exposed as
+        mode transitions, scheduling-latency histograms); defaults to
+        :data:`~repro.obs.metrics.NULL_REGISTRY`, so the submit/activate
+        hot paths stay allocation-free with observability off.  Exposed as
         :attr:`registry` — the server's ``GET /metrics`` renders it.
     trace_log:
         A :class:`~repro.obs.tracelog.TraceLog` receiving one span per
         activation and one point event per shed episode and
-        degrade/recover transition; ``None`` disables tracing.
+        degrade/recover transition; defaults to
+        :data:`~repro.obs.tracelog.NULL_TRACE`, which keeps tracing off
+        without a branch at any call site.
     """
 
     def __init__(
@@ -211,8 +214,8 @@ class SchedulerCore:
         *,
         clock: Any = None,
         rng: RNGLike = None,
-        registry: Any = None,
-        trace_log: Any = None,
+        registry: Any = NULL_REGISTRY,
+        trace_log: Any = NULL_TRACE,
     ) -> None:
         if not machines:
             raise ValueError("the live service needs at least one machine")
@@ -250,7 +253,7 @@ class SchedulerCore:
         #: Per-machine availability, park order; flipped by the chaos hook.
         self._machine_up = [True] * len(self.machines)
 
-        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.registry = registry
         self.trace_log = trace_log
         #: True while a shed episode is running (first shed emits a trace
         #: event; the episode ends at the next accepted submission), so an
@@ -368,20 +371,13 @@ class SchedulerCore:
         self._m_queue_depth.set(depth)
         if job_id is None:
             self._m_submissions["shed"].inc()
-            if episode_start and self.trace_log is not None:
-                self.trace_log.emit(
-                    "shed", source="service", time=now, backlog=depth
-                )
+            if episode_start:
+                self.trace_log.emit("shed", source="service", time=now, backlog=depth)
             return None
         self._m_submissions["accepted"].inc()
-        if self.trace_log is not None:
-            self.trace_log.emit(
-                "job_submitted",
-                source="service",
-                time=now,
-                job_id=job_id,
-                attempt=1,
-            )
+        self.trace_log.emit(
+            "job_submitted", source="service", time=now, job_id=job_id, attempt=1
+        )
         return job_id
 
     def cancel(self, job_id: int) -> bool:
@@ -405,10 +401,7 @@ class SchedulerCore:
                 return False
         self._m_queue_depth.set(depth)
         self._m_submissions["cancelled"].inc()
-        if self.trace_log is not None:
-            self.trace_log.emit(
-                "task_cancel", source="service", time=now, job_id=job_id
-            )
+        self.trace_log.emit("task_cancel", source="service", time=now, job_id=job_id)
         return True
 
     # ------------------------------------------------------------------ #
@@ -445,13 +438,12 @@ class SchedulerCore:
         kind = "repair" if up else "breakdown"
         self._m_faults[kind].inc()
         self._m_machines_up.set(up_count)
-        if self.trace_log is not None:
-            self.trace_log.emit(
-                f"machine_{kind}",
-                source="service",
-                time=now,
-                machine_id=self.machines[index].machine_id,
-            )
+        self.trace_log.emit(
+            f"machine_{kind}",
+            source="service",
+            time=now,
+            machine_id=self.machines[index].machine_id,
+        )
         return True
 
     @property
@@ -463,26 +455,12 @@ class SchedulerCore:
     def seconds_until_due(self) -> float:
         """Wall-clock seconds until the next activation should fire.
 
-        The configured :class:`~repro.core.config.ActivationPolicy` re-read
-        on wall time: adaptive mode waits ``min_interval`` past the last
-        activation once the backlog reaches the threshold and
-        ``max_interval`` otherwise; periodic mode always waits the
-        ``activation_interval``.  Zero means "due now".
+        The configured policy's :meth:`~repro.core.config.ActivationPolicy.
+        gap` past the last activation, on wall time.  Zero means "due now".
         """
         with self._lock:
             backlog = len(self._queue)
-        if self._policy.is_adaptive:
-            triggered = backlog >= self._policy.backlog_threshold
-            if triggered:
-                gap = self._policy.min_interval or 0.0
-            else:
-                gap = (
-                    self._policy.max_interval
-                    if self._policy.max_interval is not None
-                    else self.config.activation_interval
-                )
-        else:
-            gap = self.config.activation_interval
+        gap = self._policy.gap(backlog, self.config.activation_interval)
         return max(0.0, self._last_activation + gap - self._now())
 
     # ------------------------------------------------------------------ #
@@ -527,10 +505,7 @@ class SchedulerCore:
                 self.stalled_activations += 1
                 depth = len(self._queue)
                 self._m_activations["stalled"].inc()
-                if self.trace_log is not None:
-                    self.trace_log.emit(
-                        "stalled", source="service", time=now, backlog=depth
-                    )
+                self.trace_log.emit("stalled", source="service", time=now, backlog=depth)
                 return ActivationOutcome(
                     time=now,
                     batch_size=0,
@@ -557,10 +532,7 @@ class SchedulerCore:
         self._m_queue_depth.set(0)
         if transition is not None:
             self._m_transitions[transition].inc()
-            if self.trace_log is not None:
-                self.trace_log.emit(
-                    transition, source="service", time=now, backlog=len(batch)
-                )
+            self.trace_log.emit(transition, source="service", time=now, backlog=len(batch))
         # Warm-start reuse and evaluation counts come out of the scheduler
         # stats as per-activation deltas (the warm service keeps cumulative
         # counters); a stats-less scheduler just traces zeros.
@@ -570,23 +542,6 @@ class SchedulerCore:
             if stats is not None
             else (0, 0, 0)
         )
-        # One span per activation: opened before the batch is solved,
-        # closed after the plan is committed (the span stamps its own
-        # duration; scheduler_seconds is the solve alone).
-        span = (
-            self.trace_log.span(
-                "activation",
-                source="service",
-                time=now,
-                seq=seq,
-                backlog=len(batch),
-                batch_size=len(batch),
-                mode=mode,
-            )
-            if self.trace_log is not None
-            else None
-        )
-
         if mode == "degraded" and hasattr(self.scheduler, "degraded_schedule"):
             schedule = self.scheduler.degraded_schedule
         else:
@@ -613,28 +568,51 @@ class SchedulerCore:
 
         pending = [submission.job for submission in batch]
         try:
-            activation = run_activation(
-                pending,
-                [self.machines[index] for index in up_indices],
-                busy_until,
-                now,
-                lambda instance: schedule(instance, self.rng),
-                commit,
-                seq=seq,
+            # One span per activation: opened before the batch is solved,
+            # closed after the plan is committed, with an ``error`` field if
+            # the solve fails (the span stamps its own duration;
+            # scheduler_seconds is the solve alone).
+            with self.trace_log.span(
+                "activation",
                 source="service",
-                scheduler=self.scheduler,
-                phase_histogram=self._m_phases,
-                trace_log=self.trace_log,
-            )
-        except BaseException as exc:
+                time=now,
+                seq=seq,
+                backlog=len(batch),
+                batch_size=len(batch),
+                mode=mode,
+            ) as span:
+                activation = run_activation(
+                    pending,
+                    [self.machines[index] for index in up_indices],
+                    busy_until,
+                    now,
+                    lambda instance: schedule(instance, self.rng),
+                    commit,
+                    seq=seq,
+                    source="service",
+                    scheduler=self.scheduler,
+                    phase_histogram=self._m_phases,
+                    trace_log=self.trace_log,
+                )
+                stats_after = (
+                    (stats.carried_jobs, stats.filled_jobs, stats.evaluations)
+                    if stats is not None
+                    else (0, 0, 0)
+                )
+                span.update(
+                    scheduler_seconds=activation.plan.solve_seconds,
+                    carried=stats_after[0] - stats_before[0],
+                    filled=stats_after[1] - stats_before[1],
+                    evaluations=stats_after[2] - stats_before[2],
+                    scheduled=len(batch),
+                    phases=activation.phases,
+                )
+        except BaseException:
             if not latencies:
                 with self._lock:
                     self._queue = batch + self._queue
                     depth = len(self._queue)
                 self._m_queue_depth.set(depth)
-            if span is not None:
-                span.update(error=repr(exc))
-                span.close()
             raise
 
         scheduler_seconds = activation.plan.solve_seconds
@@ -642,21 +620,6 @@ class SchedulerCore:
         self._m_scheduler_seconds.observe(scheduler_seconds)
         for latency in latencies:
             self._m_job_latency.observe(latency)
-        if span is not None:
-            stats_after = (
-                (stats.carried_jobs, stats.filled_jobs, stats.evaluations)
-                if stats is not None
-                else (0, 0, 0)
-            )
-            span.update(
-                scheduler_seconds=scheduler_seconds,
-                carried=stats_after[0] - stats_before[0],
-                filled=stats_after[1] - stats_before[1],
-                evaluations=stats_after[2] - stats_before[2],
-                scheduled=len(batch),
-                phases=activation.phases,
-            )
-            span.close()
         return ActivationOutcome(
             time=now,
             batch_size=len(batch),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import CMAConfig
+from repro.core.config import ActivationPolicy, CMAConfig
 from repro.core.termination import TerminationCriteria
 
 
@@ -106,3 +106,44 @@ class TestEvolve:
     def test_custom_termination_is_kept(self):
         criteria = TerminationCriteria.by_evaluations(500)
         assert CMAConfig.paper_defaults(criteria).termination is criteria
+
+
+class TestActivationGap:
+    """One wake-gap rule for the simulator and the live core."""
+
+    @pytest.mark.parametrize(
+        "backlog, changed, min_interval, max_interval, expected",
+        [
+            # Below the threshold, no membership change: the fallback gap.
+            (3, False, None, None, 10.0),
+            (3, False, 0.5, None, 10.0),
+            (3, False, None, 4.0, 4.0),
+            (3, False, 0.5, 4.0, 4.0),
+            # Backlog at the threshold triggers: the guard gap.
+            (4, False, None, None, 0.0),
+            (4, False, 0.5, None, 0.5),
+            (4, False, None, 4.0, 0.0),
+            (9, False, 0.5, 4.0, 0.5),
+            # A membership change under pending work triggers too.
+            (1, True, None, None, 0.0),
+            (1, True, 0.5, 4.0, 0.5),
+            (4, True, 0.5, 4.0, 0.5),
+        ],
+    )
+    def test_adaptive_table(self, backlog, changed, min_interval, max_interval, expected):
+        policy = ActivationPolicy.adaptive(
+            4, min_interval=min_interval, max_interval=max_interval
+        )
+        assert policy.gap(backlog, 10.0, membership_changed=changed) == expected
+
+    def test_membership_change_ignored_when_not_a_trigger(self):
+        policy = ActivationPolicy.adaptive(
+            4, min_interval=0.5, max_interval=4.0, on_machine_change=False
+        )
+        assert policy.gap(1, 10.0, membership_changed=True) == 4.0
+        assert policy.gap(4, 10.0, membership_changed=True) == 0.5
+
+    @pytest.mark.parametrize("backlog, changed", [(0, False), (100, True)])
+    def test_periodic_always_waits_the_interval(self, backlog, changed):
+        policy = ActivationPolicy.periodic()
+        assert policy.gap(backlog, 2.5, membership_changed=changed) == 2.5

@@ -7,20 +7,30 @@ counters — the metrics must *reproduce* the accounting, not approximate
 it — and the trace events against what actually happened.
 """
 
+import dataclasses
+import inspect
 import io
 import json
 
 import numpy as np
+import pytest
 
 from repro.core.config import ServiceConfig
 from repro.engine import EvaluationEngine
+from repro.grid.activation import run_activation
 from repro.grid.job import GridJob
 from repro.grid.machine import GridMachine
 from repro.grid.scheduler import HeuristicBatchPolicy
 from repro.grid.service import DynamicSchedulerService
 from repro.grid.simulator import GridSimulator, SimulationConfig
-from repro.obs import MetricsRegistry, TraceLog, parse_exposition
-from repro.service import FakeClock, SchedulerCore
+from repro.obs import (
+    NULL_REGISTRY,
+    NULL_TRACE,
+    MetricsRegistry,
+    TraceLog,
+    parse_exposition,
+)
+from repro.service import FakeClock, LoadGenerator, SchedulerCore
 
 
 def make_machines(count=4, mips=1000.0):
@@ -52,7 +62,7 @@ class TestCoreInstrumentation:
             queue_capacity=4, degrade_threshold=3, recover_threshold=1
         )
 
-    def make_core(self, registry, trace_log):
+    def make_core(self, registry, trace_log=NULL_TRACE):
         return SchedulerCore(
             make_machines(),
             HeuristicBatchPolicy("min_min"),
@@ -141,7 +151,7 @@ class TestCoreInstrumentation:
 
     def test_abort_counts_as_aborted_submissions(self):
         registry = MetricsRegistry()
-        core = self.make_core(registry, None)
+        core = self.make_core(registry)
         for _ in range(3):
             core.submit(100.0)
         core.abort()
@@ -261,3 +271,52 @@ class TestNullDefaults:
         core.activate()
         assert core.registry.render() == ""
         assert core.registry.enabled is False
+        assert core.trace_log is NULL_TRACE
+
+    @pytest.mark.parametrize(
+        "function, defaults",
+        [
+            (GridSimulator.__init__, {"registry": NULL_REGISTRY, "trace_log": NULL_TRACE}),
+            (GridSimulator.from_trace, {"registry": NULL_REGISTRY, "trace_log": NULL_TRACE}),
+            (SchedulerCore.__init__, {"registry": NULL_REGISTRY, "trace_log": NULL_TRACE}),
+            (run_activation, {"trace_log": NULL_TRACE}),
+            (DynamicSchedulerService.__init__, {"registry": NULL_REGISTRY}),
+            (EvaluationEngine.__init__, {"registry": NULL_REGISTRY}),
+            (LoadGenerator.__init__, {"registry": NULL_REGISTRY}),
+        ],
+        ids=lambda value: getattr(value, "__qualname__", None),
+    )
+    def test_instrumented_signatures_default_to_the_null_objects(self, function, defaults):
+        # Off is the null object, never None: no call site may branch on it.
+        parameters = inspect.signature(function).parameters
+        for name, null in defaults.items():
+            assert parameters[name].default is null
+
+    def test_live_core_outcomes_do_not_depend_on_the_trace_log(self):
+        def run(**trace):
+            clock = FakeClock()
+            core = SchedulerCore(
+                make_machines(3),
+                HeuristicBatchPolicy("min_min"),
+                ServiceConfig(queue_capacity=6, degrade_threshold=5, recover_threshold=1),
+                clock=clock,
+                rng=7,
+                **trace,
+            )
+            outcomes = []
+            for step in range(12):
+                for offset in range((1, 8, 3, 1, 6, 0)[step % 6]):
+                    clock.advance(0.125)
+                    core.submit(100.0 + 37.0 * offset)
+                clock.advance(0.5)
+                outcome = core.activate()
+                # Scheduler seconds are wall clock: the only field that may differ.
+                outcomes.append(dataclasses.replace(outcome, scheduler_seconds=0.0))
+            snapshot = core.snapshot().as_dict()  # NaN tails become None
+            return outcomes, snapshot
+
+        buffer = io.StringIO()
+        assert run() == run(trace_log=TraceLog(buffer))
+        # The traced run really traced (shed, degrade and recover included).
+        events = {event["event"] for event in trace_events(buffer)}
+        assert {"shed", "degrade", "recover", "activation", "job_assigned"} <= events

@@ -20,6 +20,7 @@ from repro.grid.machine import GridMachine
 from repro.grid.scheduler import HeuristicBatchPolicy
 from repro.grid.simulator import GridSimulator, SimulationConfig
 from repro.obs import (
+    NULL_TRACE,
     TraceLog,
     attribution_rows,
     attribution_table,
@@ -362,7 +363,7 @@ def _failure_jobs_and_machines():
     return jobs, machines
 
 
-def _run_simulator(trace_log=None):
+def _run_simulator(trace_log=NULL_TRACE):
     jobs, machines = _failure_jobs_and_machines()
     simulator = GridSimulator(
         jobs,
@@ -400,7 +401,7 @@ def test_simulator_trace_reconstructs_every_job_exactly():
 def test_tracing_is_a_pure_observer_of_the_simulation():
     # Bit-exact: running with the trace log on must not perturb the
     # simulation (tracing reads clocks, never the simulation's RNG).
-    bare = _run_simulator(trace_log=None)
+    bare = _run_simulator()
     traced = _run_simulator(trace_log=TraceLog(io.StringIO()))
     assert bare.makespan == traced.makespan
     assert bare.total_flowtime == traced.total_flowtime

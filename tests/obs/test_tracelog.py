@@ -7,7 +7,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.obs import TraceLog, read_trace, summarize_events, summarize_trace
+from repro.obs import (
+    NULL_TRACE,
+    TraceLog,
+    read_trace,
+    summarize_events,
+    summarize_trace,
+)
 from repro.obs.summarize import activation_rows, event_counts
 
 
@@ -185,10 +191,39 @@ def test_emit_many_writes_one_line_per_record():
         [{"job_id": 1, "seq": 7}, {"job_id": 2, "seq": 7}],
     )
     log.emit_many("job_batched", [])  # empty batch: no lines, no error
+    # Any iterable: callers pass generators (an empty one is still truthy).
+    log.emit_many("job_assigned", ({"job_id": job} for job in (3, 4)))
+    log.emit_many("job_assigned", (record for record in ()))
     records = [json.loads(line) for line in buffer.getvalue().splitlines()]
-    assert [r["event"] for r in records] == ["job_batched", "job_batched"]
-    assert [r["job_id"] for r in records] == [1, 2]
-    assert log.events_written == 2
+    assert [r["event"] for r in records] == ["job_batched"] * 2 + ["job_assigned"] * 2
+    assert [r["job_id"] for r in records] == [1, 2, 3, 4]
+    assert log.events_written == 4
+
+
+class TestNullTrace:
+    def test_emit_many_never_advances_the_generator(self):
+        def payloads():
+            raise AssertionError("the null log built a payload")
+            yield {}
+
+        NULL_TRACE.emit_many("job_batched", payloads())
+
+    def test_every_operation_is_silent(self):
+        span = NULL_TRACE.span("activation", seq=1)
+        assert span.update(scheduled=3) is span
+        span.close()
+        with NULL_TRACE.span("activation") as nested:
+            nested.update(error="ignored")
+        # One shared span object: nothing is allocated per activation.
+        assert NULL_TRACE.span("other") is span
+        NULL_TRACE.emit("shed", backlog=4)
+        NULL_TRACE.rotate()
+        NULL_TRACE.close()
+        NULL_TRACE.emit("after_close")  # still a no-op, never an error
+        assert isinstance(NULL_TRACE, TraceLog)
+        assert NULL_TRACE.events_written == 0
+        assert NULL_TRACE.bytes_written == 0
+        assert NULL_TRACE.events_dropped == 0
 
 
 def test_max_bytes_guard_warns_once_and_drops(tmp_path):
