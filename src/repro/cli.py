@@ -99,13 +99,10 @@ from repro.experiments.tables import (
 )
 from repro.experiments.tuning import ALL_SWEEPS, TuningSettings
 from repro.grid import (
-    CMABatchPolicy,
     GridSimulator,
-    HeuristicBatchPolicy,
     PoissonArrivalModel,
     SimulationConfig,
     StaticResourceModel,
-    WarmCMAPolicy,
 )
 from repro.grid.service import DynamicSchedulerService
 from repro.heuristics import build_schedule, list_heuristics
@@ -763,9 +760,11 @@ def _activation_policy(args: argparse.Namespace) -> ActivationPolicy | None:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
+    policy = policy_spec_from_name(
+        args.policy, max_seconds=args.budget, max_stagnant_iterations=args.stagnation
+    ).build()
     jobs = PoissonArrivalModel(rate=args.rate, duration=args.duration).generate(rng=args.seed)
     machines = StaticResourceModel(nb_machines=args.machines).generate(rng=args.seed)
-    policy = _simulation_policy(args.policy, args.budget, args.stagnation)
     simulator = GridSimulator(
         jobs,
         machines,
@@ -783,15 +782,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def _simulation_policy(name: str, budget: float, stagnation: int | None = None):
-    """The policy used by ``simulate`` and ``trace record`` (shared parsing)."""
-    if name == "cma":
-        return CMABatchPolicy(max_seconds=budget, max_stagnant_iterations=stagnation)
-    if name in ("warm-cma", "warm_cma"):
-        return WarmCMAPolicy(max_seconds=budget, max_stagnant_iterations=stagnation)
-    return HeuristicBatchPolicy(name)
 
 
 def _command_trace_generate(args: argparse.Namespace) -> int:
@@ -812,6 +802,7 @@ def _command_trace_generate(args: argparse.Namespace) -> int:
 
 
 def _command_trace_record(args: argparse.Namespace) -> int:
+    policy = policy_spec_from_name(args.policy, max_seconds=args.budget).build()
     jobs = PoissonArrivalModel(rate=args.rate, duration=args.duration).generate(
         rng=args.seed
     )
@@ -820,7 +811,7 @@ def _command_trace_record(args: argparse.Namespace) -> int:
     GridSimulator(
         jobs,
         machines,
-        _simulation_policy(args.policy, args.budget),
+        policy,
         SimulationConfig(activation_interval=args.interval),
         rng=args.seed,
         recorder=recorder,

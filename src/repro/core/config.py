@@ -35,7 +35,6 @@ from repro.utils.validation import (
 __all__ = [
     "CMAConfig",
     "IslandConfig",
-    "WarmStartConfig",
     "TraceConfig",
     "ArenaConfig",
     "ActivationPolicy",
@@ -45,7 +44,6 @@ __all__ = [
     "ISLAND_TOPOLOGIES",
     "MIGRATION_INTERVAL_UNITS",
     "EMIGRANT_SELECTIONS",
-    "WARM_START_MODES",
     "TRACE_FAMILIES",
     "ACTIVATION_MODES",
     "LOAD_PROFILE_SHAPES",
@@ -62,9 +60,6 @@ MIGRATION_INTERVAL_UNITS = ("evaluations", "seconds")
 
 #: Emigrant-selection strategies of :mod:`repro.islands.migration`.
 EMIGRANT_SELECTIONS = ("best_k", "random_k")
-
-#: How :class:`WarmStartConfig` seeds each scheduler activation.
-WARM_START_MODES = ("previous_plan", "off")
 
 #: Scenario families understood by :mod:`repro.traces.generators`.  Like the
 #: island topologies above, the registry lives up in the traces layer; the
@@ -428,88 +423,6 @@ class CMAConfig:
             "add only if better": self.replacement == "if_better",
             "cell updates": self.cell_updates,
             "lambda": self.fitness_weight,
-        }
-
-
-@dataclass(frozen=True)
-class WarmStartConfig:
-    """Configuration of the warm-started dynamic scheduling service.
-
-    The dynamic grid scheduler (:mod:`repro.grid.service`) keeps one
-    engine-resident cMA alive across the simulation and re-primes its
-    population at every activation from the previous activation's plan.
-    This config describes that re-priming.
-
-    Attributes
-    ----------
-    mode:
-        ``"previous_plan"`` (default) carries the last plan into the next
-        activation's population; ``"off"`` disables warm starting entirely,
-        making the service trajectory-identical to the cold
-        :class:`~repro.grid.scheduler.CMABatchPolicy` under the same seed.
-    fill_heuristic:
-        Constructive heuristic (any name accepted by
-        :func:`repro.heuristics.get_heuristic`) used to place jobs with no
-        carried assignment — new arrivals, and jobs whose previous machine
-        has left the grid.
-    warm_fraction:
-        Fraction of the population rows seeded from the warm plan (row 0 is
-        the plan verbatim, the others are perturbed copies); the remainder
-        is seeded uniformly at random to preserve exploration.
-    perturbation_rate:
-        Fraction of jobs reassigned to random machines in the perturbed
-        warm rows.
-    initial_local_search:
-        Whether the adopted population still receives Algorithm 1's initial
-        whole-population local-search pass.  Defaults to ``False``: the
-        carried rows descend from an already-improved plan, and the cMA's
-        per-offspring local search resumes immediately.
-    capacity_slack:
-        Multiplicative headroom applied to the job dimension whenever the
-        service's resident buffers must grow (grow-only, high-water-mark
-        capacity) so that a slowly growing backlog does not reallocate at
-        every activation.
-    """
-
-    mode: str = "previous_plan"
-    fill_heuristic: str = "mct"
-    warm_fraction: float = 0.5
-    perturbation_rate: float = 0.25
-    initial_local_search: bool = False
-    capacity_slack: float = 1.25
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", _check_choice("mode", self.mode, WARM_START_MODES))
-        object.__setattr__(
-            self,
-            "fill_heuristic",
-            _check_choice("fill_heuristic", self.fill_heuristic, list_heuristics()),
-        )
-        check_probability("warm_fraction", self.warm_fraction)
-        check_probability("perturbation_rate", self.perturbation_rate)
-        if self.capacity_slack < 1.0:
-            raise ValueError(
-                f"capacity_slack must be >= 1, got {self.capacity_slack}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether warm starting is active at all."""
-        return self.mode != "off"
-
-    def evolve(self, **changes: Any) -> "WarmStartConfig":
-        """Return a copy of the configuration with the given fields replaced."""
-        return replace(self, **changes)
-
-    def describe(self) -> dict[str, Any]:
-        """A flat, JSON-friendly description of the warm-start layer."""
-        return {
-            "mode": self.mode,
-            "fill heuristic": self.fill_heuristic,
-            "warm fraction": self.warm_fraction,
-            "perturbation rate": self.perturbation_rate,
-            "initial local search": self.initial_local_search,
-            "capacity slack": self.capacity_slack,
         }
 
 

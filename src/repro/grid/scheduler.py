@@ -26,6 +26,11 @@ Three families of policies are provided:
   previous plan, which is what makes the paper's "very short time" budget
   cheap to meet in steady state.
 
+Both cMA policies take the same per-activation budget (``max_seconds``,
+``max_iterations``, ``max_stagnant_iterations``) and build their
+configuration through :func:`budgeted_config`, so cold and warm runs always
+compare at equal budgets.
+
 Degenerate batches are handled uniformly through
 :func:`degenerate_assignment`: one machine needs no decision at all, and a
 batch with fewer jobs than the recombination operator needs parents falls
@@ -49,8 +54,31 @@ __all__ = [
     "BatchSchedulingPolicy",
     "HeuristicBatchPolicy",
     "CMABatchPolicy",
+    "budgeted_config",
     "degenerate_assignment",
 ]
+
+
+def budgeted_config(
+    config: CMAConfig | None,
+    *,
+    max_seconds: float,
+    max_iterations: int | None,
+    max_stagnant_iterations: int | None,
+) -> CMAConfig:
+    """*config* (Table 1 when ``None``) under one activation's budget.
+
+    The cold and the warm cMA policies both build their configuration here,
+    so the two compare at equal budgets by construction.
+    """
+    base = config if config is not None else CMAConfig.paper_defaults()
+    return base.evolve(
+        termination=TerminationCriteria(
+            max_seconds=max_seconds,
+            max_iterations=max_iterations,
+            max_stagnant_iterations=max_stagnant_iterations,
+        )
+    )
 
 
 def degenerate_assignment(
@@ -127,13 +155,11 @@ class CMABatchPolicy(BatchSchedulingPolicy):
         max_iterations: int | None = 50,
         max_stagnant_iterations: int | None = None,
     ) -> None:
-        base = config if config is not None else CMAConfig.paper_defaults()
-        self.config = base.evolve(
-            termination=TerminationCriteria(
-                max_seconds=max_seconds,
-                max_iterations=max_iterations,
-                max_stagnant_iterations=max_stagnant_iterations,
-            )
+        self.config = budgeted_config(
+            config,
+            max_seconds=max_seconds,
+            max_iterations=max_iterations,
+            max_stagnant_iterations=max_stagnant_iterations,
         )
 
     def schedule(self, instance: SchedulingInstance, rng: RNGLike = None) -> np.ndarray:

@@ -19,28 +19,32 @@ alive across the whole simulation:
 * **capacity** — one :class:`~repro.engine.batch.BatchEvaluator` whose
   backing stores are grow-only (:meth:`~repro.engine.batch.BatchEvaluator.
   reseat`): an activation whose batch fits under the high-water mark reuses
-  the resident rows, only a larger batch reallocates (padded by
-  :attr:`~repro.core.config.WarmStartConfig.capacity_slack`);
+  the resident rows, only a larger batch reallocates (padded by a 25%
+  job-dimension slack, so a slowly growing backlog does not reallocate at
+  every activation);
 * **knowledge** — the previous activation's plan, remembered as a
   ``job_id → machine_id`` mapping.  At the next activation, jobs still
   pending keep their last assignment (remapped through the stable ids the
   simulator publishes in ``instance.metadata``, which drops machines that
   left the grid), unassigned jobs (new arrivals, orphans of departed
-  machines) are placed by a constructive heuristic on top of the carried
-  load, and only the remaining population rows are randomly seeded;
+  machines) are placed by MCT on top of the carried load; half of the
+  population rows hold the plan (row 0 verbatim, the rest with a quarter of
+  their jobs moved at random) and the other half are uniformly random, to
+  keep exploring;
 * **lifecycle** — each activation re-primes a
   :class:`~repro.core.population.ResidentGrid` over the resident batch and
   drives the standard ``start/step/should_continue/finish`` cMA lifecycle
   under the per-activation budget, skipping the initial whole-population
-  local-search pass by default (the carried rows descend from an
-  already-improved plan).
+  local-search pass (the carried rows descend from an already-improved
+  plan).
 
 :class:`WarmCMAPolicy` exposes the service through the ordinary
 :class:`~repro.grid.scheduler.BatchSchedulingPolicy` interface, so the
 simulator, the CLI (``repro-scheduler simulate --policy warm-cma``) and the
-benchmarks treat it like any other policy.  With
-``WarmStartConfig(mode="off")`` the policy is trajectory-identical to the
-cold :class:`~repro.grid.scheduler.CMABatchPolicy` under the same seed.
+benchmarks treat it like any other policy.  Its cold comparator is
+:class:`~repro.grid.scheduler.CMABatchPolicy`: both take the same
+per-activation budget and build their configuration through
+:func:`~repro.grid.scheduler.budgeted_config`.
 """
 
 from __future__ import annotations
@@ -51,13 +55,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cma import CellularMemeticAlgorithm
-from repro.core.config import CMAConfig, WarmStartConfig
+from repro.core.config import CMAConfig
 from repro.core.population import ResidentGrid
 from repro.engine.batch import BatchEvaluator, perturbed_copies
 from repro.engine.service import EvaluationEngine
 from repro.grid.scheduler import (
     BatchSchedulingPolicy,
-    CMABatchPolicy,
+    budgeted_config,
     degenerate_assignment,
 )
 from repro.heuristics.base import build_schedule
@@ -68,6 +72,17 @@ from repro.obs.phases import PhaseTimer
 from repro.utils.rng import RNGLike, as_generator
 
 __all__ = ["ServiceStats", "DynamicSchedulerService", "WarmCMAPolicy"]
+
+#: Constructive heuristic placing the jobs no previous plan covers (new
+#: arrivals, and jobs whose machine left the grid).
+_FILL_HEURISTIC = "mct"
+#: Share of the population rows seeded from the warm plan (row 0 verbatim,
+#: the others perturbed copies); the rest is uniformly random.
+_WARM_FRACTION = 0.5
+#: Share of jobs moved to a random machine in each perturbed warm row.
+_PERTURBATION_RATE = 0.25
+#: Headroom on the job dimension whenever the resident buffers must grow.
+_CAPACITY_SLACK = 1.25
 
 
 @dataclass
@@ -84,7 +99,7 @@ class ServiceStats:
     #: Jobs scheduled through the degenerate fallback.  Together with the
     #: carried/filled counters this accounts for every planned job:
     #: ``carried + filled + degenerate == Σ batch sizes`` over all
-    #: warm-mode activations.
+    #: :meth:`~DynamicSchedulerService.schedule` activations.
     degenerate_jobs: int = 0
     #: Activations the live service solved through the degraded Min-Min
     #: path (overload shed-to-heuristic, no cMA run — see
@@ -108,9 +123,6 @@ class DynamicSchedulerService:
     config:
         Base cMA configuration; its termination criterion is replaced by the
         per-activation budget below.
-    warm_start:
-        The warm-start policy (:class:`~repro.core.config.WarmStartConfig`);
-        defaults to carrying the previous plan.
     max_seconds, max_iterations, max_stagnant_iterations:
         Per-activation budget, mirroring
         :class:`~repro.grid.scheduler.CMABatchPolicy` so cold and warm runs
@@ -125,25 +137,18 @@ class DynamicSchedulerService:
     def __init__(
         self,
         config: CMAConfig | None = None,
-        warm_start: WarmStartConfig | None = None,
         *,
         max_seconds: float = 0.25,
         max_iterations: int | None = 50,
         max_stagnant_iterations: int | None = None,
         registry: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
-        # The cold twin used when warm starting is off: sharing its exact
-        # configuration *and* schedule() implementation keeps "off"
-        # trajectory-identical to CMABatchPolicy under the same seed, by
-        # construction.
-        self._cold = CMABatchPolicy(
-            config=config,
+        self.config = budgeted_config(
+            config,
             max_seconds=max_seconds,
             max_iterations=max_iterations,
             max_stagnant_iterations=max_stagnant_iterations,
         )
-        self.config = self._cold.config
-        self.warm_start = warm_start if warm_start is not None else WarmStartConfig()
         self.stats = ServiceStats()
         self._evaluator = FitnessEvaluator(self.config.fitness_weight)
         self._batch: BatchEvaluator | None = None
@@ -165,7 +170,7 @@ class DynamicSchedulerService:
         )
         self._m_batches = {
             path: batches.labels(path=path)
-            for path in ("warm", "degenerate", "degraded", "cold")
+            for path in ("warm", "degenerate", "degraded")
         }
         self._m_reallocations = self._registry.counter(
             "repro_scheduler_reallocations_total",
@@ -247,7 +252,7 @@ class DynamicSchedulerService:
                 ready_times=instance.ready_times + load,
                 name=f"{instance.name}/warm-fill",
             )
-            fill = build_schedule(self.warm_start.fill_heuristic, sub_instance, rng)
+            fill = build_schedule(_FILL_HEURISTIC, sub_instance, rng)
             plan[missing] = np.asarray(fill.assignment, dtype=np.int64)
         return plan, carried
 
@@ -284,20 +289,19 @@ class DynamicSchedulerService:
     ) -> np.ndarray:
         """The activation's initial population plus offspring scratch rows.
 
-        Row 0 is the warm plan verbatim; a ``warm_fraction`` share of the
-        mesh holds perturbed copies of it; the rest is uniform random (the
-        exploration share).  Scratch rows are placeholders (they are staged
+        Row 0 is the warm plan verbatim; a :data:`_WARM_FRACTION` share of
+        the mesh holds perturbed copies of it; the rest is uniform random
+        (the exploration share).  Scratch rows are placeholders (they are staged
         over before ever being read).
         """
         cfg = self.config
-        warm = self.warm_start
         population = cfg.population_size
         scratch = max(cfg.nb_recombinations, cfg.nb_mutations)
         rows = np.tile(plan, (population + scratch, 1))
-        warm_rows = max(1, int(round(warm.warm_fraction * population)))
+        warm_rows = max(1, int(round(_WARM_FRACTION * population)))
         if warm_rows > 1:
             rows[1:warm_rows] = perturbed_copies(
-                plan, warm_rows - 1, instance.nb_machines, warm.perturbation_rate, gen
+                plan, warm_rows - 1, instance.nb_machines, _PERTURBATION_RATE, gen
             )
         if warm_rows < population:
             rows[warm_rows:population] = gen.integers(
@@ -318,7 +322,7 @@ class DynamicSchedulerService:
         reused = self._batch.reseat(
             instance,
             rows,
-            min_jobs=int(math.ceil(instance.nb_jobs * self.warm_start.capacity_slack)),
+            min_jobs=int(math.ceil(instance.nb_jobs * _CAPACITY_SLACK)),
         )
         if not reused:
             self.stats.capacity_reallocations += 1
@@ -334,11 +338,6 @@ class DynamicSchedulerService:
         gen = as_generator(rng)
         timer = PhaseTimer()
         self.last_phases = timer.durations
-        if not self.warm_start.enabled:
-            self._m_batches["cold"].inc()
-            with timer.phase("evaluate"):
-                return self._cold.schedule(instance, gen)
-
         fallback = degenerate_assignment(instance, self.config, gen)
         if fallback is not None:
             self.stats.degenerate_batches += 1
@@ -377,9 +376,7 @@ class DynamicSchedulerService:
                 registry=self._registry,
             )
             algorithm = CellularMemeticAlgorithm(instance, cfg, rng=gen, engine=engine)
-            algorithm.start(
-                grid=grid, initial_local_search=self.warm_start.initial_local_search
-            )
+            algorithm.start(grid=grid, initial_local_search=False)
             while algorithm.should_continue():
                 algorithm.step()
             result = algorithm.finish()
@@ -439,18 +436,12 @@ class DynamicSchedulerService:
         }
 
 
-#: Sentinel distinguishing "argument omitted" from an explicit value.
-_UNSET = object()
-
-
 class WarmCMAPolicy(BatchSchedulingPolicy):
     """The :class:`DynamicSchedulerService` as a batch scheduling policy.
 
-    Mirrors :class:`~repro.grid.scheduler.CMABatchPolicy`'s constructor so
-    cold and warm policies are interchangeable in simulations; pass
-    ``service=`` to share one warm state between several callers instead
-    (exclusively — an existing service keeps its own configuration and
-    budget, so combining it with any other argument is rejected).
+    Takes :class:`~repro.grid.scheduler.CMABatchPolicy`'s constructor
+    arguments, so cold and warm policies are interchangeable in simulations,
+    and builds its own service (exposed as :attr:`service`).
     """
 
     name = "warm-cma"
@@ -458,31 +449,17 @@ class WarmCMAPolicy(BatchSchedulingPolicy):
     def __init__(
         self,
         config: CMAConfig | None = None,
-        warm_start: WarmStartConfig | None = None,
         *,
-        service: DynamicSchedulerService | None = None,
-        max_seconds: float = _UNSET,  # type: ignore[assignment]
-        max_iterations: int | None = _UNSET,  # type: ignore[assignment]
-        max_stagnant_iterations: int | None = _UNSET,  # type: ignore[assignment]
+        max_seconds: float = 0.25,
+        max_iterations: int | None = 50,
+        max_stagnant_iterations: int | None = None,
     ) -> None:
-        budget = {
-            name: value
-            for name, value in (
-                ("max_seconds", max_seconds),
-                ("max_iterations", max_iterations),
-                ("max_stagnant_iterations", max_stagnant_iterations),
-            )
-            if value is not _UNSET
-        }
-        if service is not None:
-            if config is not None or warm_start is not None or budget:
-                raise ValueError(
-                    "pass either an existing service or the configuration and "
-                    "budget to build one, not both"
-                )
-            self.service = service
-        else:
-            self.service = DynamicSchedulerService(config, warm_start, **budget)
+        self.service = DynamicSchedulerService(
+            config,
+            max_seconds=max_seconds,
+            max_iterations=max_iterations,
+            max_stagnant_iterations=max_stagnant_iterations,
+        )
 
     def schedule(self, instance: SchedulingInstance, rng: RNGLike = None) -> np.ndarray:
         return self.service.schedule(instance, rng)

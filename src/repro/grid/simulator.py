@@ -160,6 +160,10 @@ class GridSimulator:
         self.machines = list(machines)
         self.policy = policy
         self.config = config if config is not None else SimulationConfig()
+        activation = self.config.activation
+        # The driver is fixed for the whole run: the periodic one chains its
+        # own ticks, the adaptive one places them from the event handlers.
+        self._adaptive = activation is not None and activation.is_adaptive
         self.rng = as_generator(rng)
         # Duck-typed capture hook (the TraceRecorder of repro.traces — the
         # grid layer never imports upward): it sees the workload and machine
@@ -254,11 +258,7 @@ class GridSimulator:
         self._m_events = {
             kind: events_total.labels(kind=kind.name.lower()) for kind in EventType
         }
-        driver = (
-            "adaptive"
-            if self.config.activation is not None and self.config.activation.is_adaptive
-            else "periodic"
-        )
+        driver = "adaptive" if self._adaptive else "periodic"
         activations = registry.counter(
             "repro_sim_activations_total",
             "Scheduler activations fired by the simulation driver.",
@@ -363,9 +363,7 @@ class GridSimulator:
                 queue.push(down, EventType.MACHINE_BREAKDOWN, position)
                 queue.push(up, EventType.MACHINE_REPAIR, position)
 
-        activation = self.config.activation
-        adaptive = activation is not None and activation.is_adaptive
-        if not adaptive:
+        if not self._adaptive:
             # The periodic driver seeds tick 0 at t=0 and chains the next
             # tick after each one fires — identical activation timestamps
             # (k * activation_interval, capped at max_activations) to the
@@ -379,20 +377,20 @@ class GridSimulator:
             kind = event.kind
             self._m_events[kind].inc()
             if kind is EventType.TASK_END:
-                self._handle_task_end(event.payload, now, adaptive)
+                self._handle_task_end(event.payload, now)
             elif kind is EventType.TASK_SUBMIT:
-                self._handle_submit(event.payload, now, adaptive)
+                self._handle_submit(event.payload, now)
             elif kind is EventType.MACHINE_JOIN:
-                self._handle_join(event.payload, now, adaptive)
+                self._handle_join(event.payload, now)
             elif kind is EventType.MACHINE_LEAVE:
-                self._handle_leave(event.payload, now, adaptive)
+                self._handle_leave(event.payload, now)
             elif kind is EventType.MACHINE_BREAKDOWN:
-                self._handle_breakdown(event.payload, now, adaptive)
+                self._handle_breakdown(event.payload, now)
             elif kind is EventType.MACHINE_REPAIR:
-                self._handle_repair(event.payload, now, adaptive)
+                self._handle_repair(event.payload, now)
             elif kind is EventType.TASK_CANCEL:
-                self._handle_cancel(event.payload, now, adaptive)
-            elif not adaptive:
+                self._handle_cancel(event.payload, now)
+            elif not self._adaptive:
                 tick = event.payload
                 self._fire_scheduler(now)
                 if self._finished(now):
@@ -422,7 +420,7 @@ class GridSimulator:
     # ------------------------------------------------------------------ #
     # Event handlers
     # ------------------------------------------------------------------ #
-    def _handle_submit(self, position: int, now: float, adaptive: bool) -> None:
+    def _handle_submit(self, position: int, now: float) -> None:
         """One job's arrival: admit it to the pending pool, exactly once.
 
         Also the delayed re-admission path of the retry policy: a revoked
@@ -445,10 +443,9 @@ class GridSimulator:
                 job_id=self.jobs[position].job_id,
                 attempt=1,
             )
-        if adaptive:
-            self._ensure_wakeup(now)
+        self._ensure_wakeup(now)
 
-    def _handle_join(self, position: int, now: float, adaptive: bool) -> None:
+    def _handle_join(self, position: int, now: float) -> None:
         """One machine's join: activate it and log the event, exactly once."""
         machine = self.machines[position]
         self._active[position] = True
@@ -458,10 +455,9 @@ class GridSimulator:
         self._trace_log.emit(
             "machine_join", source="simulator", time=now, machine_id=machine.machine_id
         )
-        if adaptive:
-            self._ensure_wakeup(now, membership_changed=True)
+        self._ensure_wakeup(now, membership_changed=True)
 
-    def _handle_leave(self, position: int, now: float, adaptive: bool) -> None:
+    def _handle_leave(self, position: int, now: float) -> None:
         """One machine's departure: revoke its in-flight work, exactly once."""
         machine = self.machines[position]
         machine_id = machine.machine_id
@@ -478,10 +474,9 @@ class GridSimulator:
             "machine_leave", source="simulator", time=now, machine_id=machine_id
         )
         self._revoke_in_flight(machine_id, now, cause="leave")
-        if adaptive:
-            self._ensure_wakeup(now, membership_changed=True)
+        self._ensure_wakeup(now, membership_changed=True)
 
-    def _handle_breakdown(self, position: int, now: float, adaptive: bool) -> None:
+    def _handle_breakdown(self, position: int, now: float) -> None:
         """One machine's breakdown: revoke its in-flight work; it stays parked."""
         machine = self.machines[position]
         machine_id = machine.machine_id
@@ -500,10 +495,9 @@ class GridSimulator:
             "machine_breakdown", source="simulator", time=now, machine_id=machine_id
         )
         self._revoke_in_flight(machine_id, now, cause="breakdown")
-        if adaptive:
-            self._ensure_wakeup(now, membership_changed=True)
+        self._ensure_wakeup(now, membership_changed=True)
 
-    def _handle_repair(self, position: int, now: float, adaptive: bool) -> None:
+    def _handle_repair(self, position: int, now: float) -> None:
         """One machine's repair: make it schedulable again."""
         machine = self.machines[position]
         machine_id = machine.machine_id
@@ -516,10 +510,9 @@ class GridSimulator:
         self._trace_log.emit(
             "machine_repair", source="simulator", time=now, machine_id=machine_id
         )
-        if adaptive:
-            self._ensure_wakeup(now, membership_changed=True)
+        self._ensure_wakeup(now, membership_changed=True)
 
-    def _handle_cancel(self, position: int, now: float, adaptive: bool) -> None:
+    def _handle_cancel(self, position: int, now: float) -> None:
         """A user withdraws a job, wherever it currently sits."""
         self._pending_cancels.pop(position, None)
         job = self.jobs[position]
@@ -648,13 +641,12 @@ class GridSimulator:
         queue.extend(surviving)
         state.busy_until = min(state.busy_until, now)
 
-    def _handle_task_end(self, machine_id: int, now: float, adaptive: bool) -> None:
+    def _handle_task_end(self, machine_id: int, now: float) -> None:
         """A planned finish time passed: drop settled work from the queue."""
         queue = self._queues[machine_id]
         while queue and queue[0].finish <= now:
             queue.popleft()
-        if adaptive:
-            self._ensure_wakeup(now)
+        self._ensure_wakeup(now)
 
     def _ensure_wakeup(self, now: float, membership_changed: bool = False) -> None:
         """Adaptive driver: keep one live tick scheduled while work pends.
@@ -664,9 +656,10 @@ class GridSimulator:
         (join, leave, breakdown, repair) under pending work stays a trigger
         until the next activation.  Only a strictly earlier target replaces
         the live tick — the superseded tick is skipped by timestamp when it
-        pops.
+        pops.  The periodic driver chains its own ticks, so this is a no-op
+        there.
         """
-        if not self._pending_positions:
+        if not self._adaptive or not self._pending_positions:
             return
         self._membership_dirty |= membership_changed
         gap = self.config.activation.gap(

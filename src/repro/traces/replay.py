@@ -22,9 +22,12 @@ and the repetition index (:func:`~repro.utils.rng.substream_seed_sequence`)
 — so both modes produce identical per-policy metrics (pinned by test), and
 adding a policy never perturbs the others' streams.
 
-Policy specs are picklable (frozen dataclass factories, never closures)
-because they cross process boundaries whole, exactly like the algorithm
-specs of :mod:`repro.experiments.runner`.
+Policy specs are picklable (their factories are :func:`functools.partial`
+objects over the module-level policy classes, never closures) because they
+cross process boundaries whole, exactly like the algorithm specs of
+:mod:`repro.experiments.runner`.  :func:`policy_spec_from_name` is the one
+place a policy name becomes a policy: the arena and the CLI's ``simulate``
+and ``trace record`` commands all resolve names through it.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ import multiprocessing
 import queue as queue_module
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Sequence
 
-from repro.core.config import ActivationPolicy, ArenaConfig, CMAConfig, WarmStartConfig
+from repro.core.config import ActivationPolicy, ArenaConfig, CMAConfig
 from repro.grid.scheduler import (
     BatchSchedulingPolicy,
     CMABatchPolicy,
@@ -66,51 +70,6 @@ INHERIT_HORIZON = "inherit"
 
 #: Spec value meaning "use the arena's activation policy".
 INHERIT_ACTIVATION = "inherit"
-
-
-# --------------------------------------------------------------------------- #
-# Picklable policy factories
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _HeuristicPolicyFactory:
-    heuristic: str
-
-    def __call__(self) -> BatchSchedulingPolicy:
-        return HeuristicBatchPolicy(self.heuristic)
-
-
-@dataclass(frozen=True)
-class _ColdCMAPolicyFactory:
-    config: CMAConfig | None
-    max_seconds: float
-    max_iterations: int | None
-    max_stagnant_iterations: int | None
-
-    def __call__(self) -> BatchSchedulingPolicy:
-        return CMABatchPolicy(
-            config=self.config,
-            max_seconds=self.max_seconds,
-            max_iterations=self.max_iterations,
-            max_stagnant_iterations=self.max_stagnant_iterations,
-        )
-
-
-@dataclass(frozen=True)
-class _WarmCMAPolicyFactory:
-    config: CMAConfig | None
-    warm_start: WarmStartConfig | None
-    max_seconds: float
-    max_iterations: int | None
-    max_stagnant_iterations: int | None
-
-    def __call__(self) -> BatchSchedulingPolicy:
-        return WarmCMAPolicy(
-            self.config,
-            self.warm_start,
-            max_seconds=self.max_seconds,
-            max_iterations=self.max_iterations,
-            max_stagnant_iterations=self.max_stagnant_iterations,
-        )
 
 
 @dataclass(frozen=True)
@@ -195,7 +154,7 @@ def heuristic_policy_spec(
     """A constructive heuristic (Min-Min, MCT, ...) as an arena contestant."""
     return PolicySpec(
         name=name if name is not None else heuristic,
-        factory=_HeuristicPolicyFactory(heuristic),
+        factory=partial(HeuristicBatchPolicy, heuristic),
         activation=activation,
         description=f"Constructive heuristic {heuristic} at every activation",
     )
@@ -213,8 +172,12 @@ def cold_cma_policy_spec(
     """The cold-start cMA batch policy as an arena contestant."""
     return PolicySpec(
         name=name,
-        factory=_ColdCMAPolicyFactory(
-            config, max_seconds, max_iterations, max_stagnant_iterations
+        factory=partial(
+            CMABatchPolicy,
+            config,
+            max_seconds=max_seconds,
+            max_iterations=max_iterations,
+            max_stagnant_iterations=max_stagnant_iterations,
         ),
         activation=activation,
         description="Cold cMA (fresh engine and population per activation)",
@@ -223,7 +186,6 @@ def cold_cma_policy_spec(
 
 def warm_cma_policy_spec(
     config: CMAConfig | None = None,
-    warm_start: WarmStartConfig | None = None,
     *,
     name: str = "warm-cma",
     commit_horizon: float | None | str = INHERIT_HORIZON,
@@ -239,8 +201,12 @@ def warm_cma_policy_spec(
     """
     return PolicySpec(
         name=name,
-        factory=_WarmCMAPolicyFactory(
-            config, warm_start, max_seconds, max_iterations, max_stagnant_iterations
+        factory=partial(
+            WarmCMAPolicy,
+            config,
+            max_seconds=max_seconds,
+            max_iterations=max_iterations,
+            max_stagnant_iterations=max_stagnant_iterations,
         ),
         commit_horizon=commit_horizon,
         activation=activation,

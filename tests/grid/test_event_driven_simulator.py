@@ -108,20 +108,20 @@ class _CountingSimulator(GridSimulator):
         self.leave_counts: dict[int, int] = {}
         self.submit_counts: dict[int, int] = {}
 
-    def _handle_join(self, position, now, adaptive):
+    def _handle_join(self, position, now):
         machine_id = self.machines[position].machine_id
         self.join_counts[machine_id] = self.join_counts.get(machine_id, 0) + 1
-        super()._handle_join(position, now, adaptive)
+        super()._handle_join(position, now)
 
-    def _handle_leave(self, position, now, adaptive):
+    def _handle_leave(self, position, now):
         machine_id = self.machines[position].machine_id
         self.leave_counts[machine_id] = self.leave_counts.get(machine_id, 0) + 1
-        super()._handle_leave(position, now, adaptive)
+        super()._handle_leave(position, now)
 
-    def _handle_submit(self, position, now, adaptive):
+    def _handle_submit(self, position, now):
         job_id = self.jobs[position].job_id
         self.submit_counts[job_id] = self.submit_counts.get(job_id, 0) + 1
-        super()._handle_submit(position, now, adaptive)
+        super()._handle_submit(position, now)
 
 
 class TestExactlyOnceChurn:

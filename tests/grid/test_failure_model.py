@@ -256,7 +256,7 @@ class _CreditTrackingSimulator(GridSimulator):
                 self.processed_ledger += max(0.0, min(entry.finish, now) - entry.start)
         super()._revoke_in_flight(machine_id, now, cause)
 
-    def _handle_cancel(self, position, now, adaptive):
+    def _handle_cancel(self, position, now):
         job = self.jobs[position]
         record = self.records[job.job_id]
         if (
@@ -271,7 +271,7 @@ class _CreditTrackingSimulator(GridSimulator):
                         0.0, min(entry.finish, now) - entry.start
                     )
                     break
-        super()._handle_cancel(position, now, adaptive)
+        super()._handle_cancel(position, now)
 
 
 @st.composite

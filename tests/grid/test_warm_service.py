@@ -4,9 +4,8 @@ Covers the three warm-start correctness properties the service promises:
 
 * warm-started plans stay valid assignments when machines churn between
   activations (the id remap drops departed machines);
-* with ``WarmStartConfig(mode="off")`` the service is trajectory-identical
-  to the cold :class:`~repro.grid.scheduler.CMABatchPolicy` under the same
-  seed;
+* an iteration-capped warm simulation is bit-exactly reproducible (a pinned
+  trajectory, with and without a rolling commit horizon);
 * the resident buffers are grow-only and never leak rows between
   activations (a smaller batch after a larger one reuses capacity and its
   caches are exact).
@@ -15,10 +14,9 @@ Covers the three warm-start correctness properties the service promises:
 import numpy as np
 import pytest
 
-from repro.core.config import CMAConfig, WarmStartConfig
+from repro.core.config import CMAConfig, TraceConfig
 from repro.engine.batch import BatchEvaluator
 from repro.grid import (
-    CMABatchPolicy,
     DynamicSchedulerService,
     GridJob,
     GridMachine,
@@ -26,11 +24,11 @@ from repro.grid import (
     HeuristicBatchPolicy,
     PoissonArrivalModel,
     SimulationConfig,
-    StaticResourceModel,
     WarmCMAPolicy,
 )
 from repro.heuristics.base import build_schedule
 from repro.model.instance import SchedulingInstance
+from repro.traces import generate_trace
 
 
 def batch_instance(job_ids, machine_ids, rng_seed=5, name="batch"):
@@ -104,7 +102,7 @@ class TestWarmAssignment:
         assert plan.min() >= 0 and plan.max() < 3
 
     def test_fill_matches_configured_heuristic_on_fresh_batches(self):
-        service = small_budget_service(warm_start=WarmStartConfig(fill_heuristic="mct"))
+        service = small_budget_service()
         instance = batch_instance(job_ids=[1, 2, 3, 4, 5], machine_ids=[0, 1, 2])
         plan, carried = service.warm_assignment(instance, rng=1)
         assert not carried.any()
@@ -112,33 +110,55 @@ class TestWarmAssignment:
         np.testing.assert_array_equal(plan, np.asarray(reference.assignment))
 
 
-class TestOffModeTrajectory:
-    def test_off_mode_identical_to_cold_policy(self):
-        jobs = PoissonArrivalModel(rate=0.8, duration=30.0, heterogeneity="lo").generate(
-            rng=6
+class TestWarmTrajectoryPin:
+    """Pinned metrics of an iteration-capped warm simulation on a churn trace.
+
+    Any change to the warm start (plan remap, fill heuristic, population
+    seeding, buffer reuse) or to its RNG consumption shows up here as a
+    bit-level diff, not a tolerance failure.
+    """
+
+    @staticmethod
+    def _run(commit_horizon):
+        trace = generate_trace(
+            TraceConfig(
+                family="flash_crowd",
+                duration=80.0,
+                rate=0.8,
+                nb_machines=6,
+                job_heterogeneity="lo",
+                churn_fraction=0.5,
+            ),
+            seed=321,
         )
-        machines = StaticResourceModel(nb_machines=3, heterogeneity="lo").generate(rng=6)
-        budget = dict(max_seconds=10.0, max_iterations=3)
-        config = SimulationConfig(activation_interval=10.0)
-
-        cold = GridSimulator(
-            jobs, machines, CMABatchPolicy(**budget), config, rng=6
+        policy = WarmCMAPolicy(
+            CMAConfig.fast_defaults(), max_seconds=60.0, max_iterations=3
+        )
+        metrics = GridSimulator.from_trace(
+            trace,
+            policy,
+            SimulationConfig(activation_interval=7.0, commit_horizon=commit_horizon),
+            rng=7,
         ).run()
-        warm_off = GridSimulator(
-            jobs,
-            machines,
-            WarmCMAPolicy(warm_start=WarmStartConfig(mode="off"), **budget),
-            config,
-            rng=6,
-        ).run()
+        return metrics, policy.service.stats
 
-        assert warm_off.makespan == cold.makespan
-        assert warm_off.total_flowtime == cold.total_flowtime
-        assert warm_off.mean_response_time == cold.mean_response_time
-        assert warm_off.nb_activations == cold.nb_activations
-        for mine, theirs in zip(warm_off.activations, cold.activations):
-            assert mine.batch_makespan == theirs.batch_makespan
-            assert mine.scheduled_jobs == theirs.scheduled_jobs
+    def test_full_commit(self):
+        metrics, stats = self._run(None)
+        assert metrics.makespan == 172.9847378184305
+        assert metrics.total_flowtime == 3689.810696725172
+        assert metrics.nb_activations == 14
+        assert metrics.rescheduled_jobs == 8
+        assert stats.carried_jobs == 0
+        assert stats.filled_jobs == 104
+
+    def test_rolling_horizon(self):
+        metrics, stats = self._run(7.0)
+        assert metrics.makespan == 172.57297389403112
+        assert metrics.total_flowtime == 3151.4259062694746
+        assert metrics.nb_activations == 23
+        assert metrics.rescheduled_jobs == 3
+        assert stats.carried_jobs == 226
+        assert stats.filled_jobs == 102
 
 
 class TestGrowOnlyCapacity:
@@ -249,17 +269,6 @@ class TestWarmPolicyEndToEnd:
         assert metrics.policy == "warm-cma"
         stats = policy.service.stats
         assert stats.activations == metrics.nb_activations
-
-    def test_sharing_a_service_between_policies_is_explicit(self):
-        service = small_budget_service()
-        policy = WarmCMAPolicy(service=service)
-        assert policy.service is service
-        with pytest.raises(ValueError):
-            WarmCMAPolicy(CMAConfig.fast_defaults(), service=service)
-        # Budget arguments would be silently ignored next to a service —
-        # the constructor must refuse them too.
-        with pytest.raises(ValueError):
-            WarmCMAPolicy(service=service, max_iterations=3)
 
 
 class TestRollingHorizonSimulator:

@@ -212,6 +212,15 @@ class TestSimulateCommand:
         code = main(["simulate", "--policy", "nonsense", "--duration", "5"])
         assert code == 2
 
+    def test_unknown_policy_fails_before_simulating(self, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the policy name must be checked first")
+
+        monkeypatch.setattr("repro.cli.GridSimulator", no_simulation)
+        code = main(["simulate", "--policy", "magic", "--duration", "5"])
+        assert code == 2
+        assert "unknown policy" in capsys.readouterr().err
+
 
 class TestTraceCommand:
     def test_requires_subcommand(self):
@@ -279,6 +288,15 @@ class TestTraceCommand:
         trace = load_trace(out)
         assert trace.metadata["policy"] == "mct"
         assert trace.nb_jobs >= 1
+
+    def test_record_rejects_a_policy_without_its_horizon(self, tmp_path, capsys):
+        out = tmp_path / "never.npz"
+        code = main(
+            ["trace", "record", "--policy", "warm-cma-rolling", "--out", str(out)]
+        )
+        assert code == 2
+        assert "commit horizon" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_prints_the_arena_table(self, tmp_path, capsys):
         out = tmp_path / "arena.npz"

@@ -6,10 +6,15 @@ For each workload declared in ``BENCHMARK.json`` this runs::
     python3 perfbench/run.py --workload W --seconds 1 --trace 1
 
 and fails if the run's last JSON line says ``correct: false`` or
-``failed > 0``, or if ``perfbench/out/W-seed1-trace1.json`` lists any
+``failed > 0``, if ``perfbench/out/W-seed1-trace1.json`` lists any
 ``missing_targets`` (an entry point the traced run wraps was renamed or
-deleted).  It times nothing: it catches a change that breaks a workload's
-correctness checks or the benchmark's view of the program.
+deleted), or if a warm-scheduler counter of the untraced run in that record
+is not positive.  The workloads read those counters through attribute
+lookups that fall back to 0 (``warm_flash`` through
+``WarmCMAPolicy.service.stats``), so a refactor that loses an attribute
+would otherwise turn them into silent zeros.  It times nothing: it catches
+a change that breaks a workload's correctness checks or the benchmark's
+view of the program.
 
 Usage::
 
@@ -24,6 +29,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Workload -> per-layer counters its untraced run must report as positive.
+WARM_COUNTERS = {
+    workload: ("engine.evaluations", "grid.service.reallocations")
+    for workload in ("warm_flash", "service_tcp")
+}
 
 
 def check(workload: str) -> list[str]:
@@ -59,9 +70,17 @@ def check(workload: str) -> list[str]:
     if not record_path.exists():
         problems.append(f"{workload}: no run record at {record_path.relative_to(ROOT)}")
     else:
-        missing = json.loads(record_path.read_text()).get("missing_targets")
+        record = json.loads(record_path.read_text())
+        missing = record.get("missing_targets")
         if missing:
             problems.append(f"{workload}: traced entry points missing: {missing}")
+        layer = record.get("untraced", {}).get("layer", {})
+        for counter in WARM_COUNTERS.get(workload, ()):
+            if not layer.get(counter, 0) > 0:
+                problems.append(
+                    f"{workload}: untraced {counter} is {layer.get(counter)!r}, "
+                    "expected > 0"
+                )
     return problems
 
 
