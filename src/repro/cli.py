@@ -53,16 +53,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro.baselines import (
-    GAConfig,
-    GenerationalGA,
-    PanmicticMA,
-    SimulatedAnnealingScheduler,
-    SteadyStateGA,
-    StruggleGA,
-    TabuSearchScheduler,
-)
-from repro.core import CellularMemeticAlgorithm, CMAConfig, IslandConfig, TerminationCriteria
+from repro.core import IslandConfig, TerminationCriteria
 from repro.core.config import (
     ACTIVATION_MODES,
     EMIGRANT_SELECTIONS,
@@ -76,18 +67,7 @@ from repro.core.config import (
     ServiceConfig,
     TraceConfig,
 )
-from repro.engine.service import EvaluationEngine
-from repro.experiments.runner import (
-    ExperimentSettings,
-    braun_ga_spec,
-    cellular_ga_spec,
-    cma_spec,
-    panmictic_ma_spec,
-    simulated_annealing_spec,
-    steady_state_ga_spec,
-    struggle_ga_spec,
-    tabu_search_spec,
-)
+from repro.experiments.runner import ALGORITHM_SPECS, ExperimentSettings
 from repro.islands import IslandModel
 from repro.experiments.tables import (
     flowtime_comparison_table,
@@ -138,30 +118,7 @@ from repro.utils.tables import format_mapping, format_table
 
 __all__ = ["build_parser", "main"]
 
-#: Algorithms addressable from ``repro-scheduler solve --algorithm``.
-ALGORITHMS = (
-    "cma",
-    "braun_ga",
-    "carretero_xhafa_ga",
-    "struggle_ga",
-    "panmictic_ma",
-    "simulated_annealing",
-    "tabu_search",
-)
-
 TABLES = ("table1", "table2", "table3", "table4", "table5", "robustness")
-
-#: Spec builders addressable from ``repro-scheduler islands --algorithm``.
-ISLAND_SPECS = {
-    "cma": cma_spec,
-    "braun_ga": braun_ga_spec,
-    "carretero_xhafa_ga": steady_state_ga_spec,
-    "struggle_ga": struggle_ga_spec,
-    "cellular_ga": cellular_ga_spec,
-    "panmictic_ma": panmictic_ma_spec,
-    "simulated_annealing": simulated_annealing_spec,
-    "tabu_search": tabu_search_spec,
-}
 
 
 # --------------------------------------------------------------------------- #
@@ -204,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = subparsers.add_parser("solve", help="solve one instance with one algorithm")
     add_instance_arguments(solve)
-    solve.add_argument("--algorithm", choices=ALGORITHMS, default="cma")
+    solve.add_argument("--algorithm", choices=ALGORITHM_SPECS, default="cma")
     solve.add_argument("--seconds", type=float, default=2.0, help="wall-clock budget per run")
     solve.add_argument("--iterations", type=int, default=None, help="optional iteration budget")
 
@@ -241,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_instance_arguments(islands)
     islands.add_argument(
-        "--algorithm", choices=sorted(ISLAND_SPECS), default="cma",
+        "--algorithm", choices=ALGORITHM_SPECS, default="cma",
         help="what runs inside every island",
     )
     islands.add_argument("--islands", type=int, default=4, help="number of islands (default 4)")
@@ -556,38 +513,6 @@ def _load_instance(args: argparse.Namespace):
     )
 
 
-def _build_algorithm(name: str, instance, termination, seed: int):
-    # Every CLI run is constructed through one shared evaluation engine, so
-    # the printed evaluation counts, timings and history all come from the
-    # same per-run service regardless of the algorithm chosen.
-    engine = EvaluationEngine(instance)
-    if name == "cma":
-        return CellularMemeticAlgorithm(
-            instance, CMAConfig.paper_defaults(termination), rng=seed, engine=engine
-        )
-    if name == "braun_ga":
-        return GenerationalGA(
-            instance,
-            GAConfig.fast_defaults(),
-            termination=termination,
-            rng=seed,
-            engine=engine,
-        )
-    if name == "carretero_xhafa_ga":
-        return SteadyStateGA(instance, termination=termination, rng=seed, engine=engine)
-    if name == "struggle_ga":
-        return StruggleGA(instance, termination=termination, rng=seed, engine=engine)
-    if name == "panmictic_ma":
-        return PanmicticMA(instance, termination=termination, rng=seed, engine=engine)
-    if name == "simulated_annealing":
-        return SimulatedAnnealingScheduler(
-            instance, termination=termination, rng=seed, engine=engine
-        )
-    if name == "tabu_search":
-        return TabuSearchScheduler(instance, termination=termination, rng=seed, engine=engine)
-    raise ValueError(f"unknown algorithm {name!r}")
-
-
 # --------------------------------------------------------------------------- #
 # Subcommand implementations
 # --------------------------------------------------------------------------- #
@@ -596,8 +521,8 @@ def _command_solve(args: argparse.Namespace) -> int:
     termination = TerminationCriteria(
         max_seconds=args.seconds, max_iterations=args.iterations
     )
-    algorithm = _build_algorithm(args.algorithm, instance, termination, args.seed)
-    result = algorithm.run()
+    spec = ALGORITHM_SPECS[args.algorithm]()
+    result = spec.build(instance, termination, rng=args.seed).run()
     print(
         format_mapping(
             {
@@ -701,7 +626,7 @@ def _command_islands(args: argparse.Namespace) -> int:
         emigrant_selection=args.selection,
         workers=args.workers,
     )
-    spec = ISLAND_SPECS[args.algorithm]()
+    spec = ALGORITHM_SPECS[args.algorithm]()
     model = IslandModel(instance, spec, config, termination, rng=args.seed)
     result = model.run()
 

@@ -260,7 +260,6 @@ class CMAConfig:
     termination: TerminationCriteria = field(
         default_factory=lambda: TerminationCriteria.by_iterations(100)
     )
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_integer("population_height", self.population_height, minimum=1)

@@ -8,12 +8,15 @@ of repetitions, budget) so that the same harness can run both the laptop-
 scale defaults used by tests/benchmarks and the full paper-scale protocol,
 and :class:`AlgorithmSpec` wraps each scheduler behind a uniform factory so
 tables and sweeps can iterate over algorithms as data.
+:data:`ALGORITHM_SPECS` is the one place an algorithm name becomes a spec:
+the CLI's ``solve`` and ``islands`` commands resolve names through it, and
+the comparison tables build the same specs.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Protocol, Sequence
 
 from repro.baselines import (
@@ -51,6 +54,7 @@ from repro.utils.validation import check_integer
 __all__ = [
     "ExperimentSettings",
     "AlgorithmSpec",
+    "ALGORITHM_SPECS",
     "cma_spec",
     "braun_ga_spec",
     "steady_state_ga_spec",
@@ -136,28 +140,16 @@ class _Scheduler(Protocol):
     def run(self) -> SchedulingResult: ...
 
 
-#: Factory signature: (instance, termination, rng[, engine]) -> scheduler object.
+#: Factory signature: (instance, *, termination, rng, engine) -> scheduler object.
 SchedulerFactory = Callable[..., _Scheduler]
-
-
-def _accepts_engine(factory: SchedulerFactory) -> bool:
-    """Whether *factory* can receive the ``engine`` keyword argument."""
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # builtins / odd callables: assume legacy
-        return False
-    if any(p.kind == p.VAR_KEYWORD for p in parameters.values()):
-        return True
-    return "engine" in parameters
 
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """A named scheduler factory usable by every experiment.
 
-    Factories receive ``(instance, termination, rng, engine)``; legacy
-    three-argument factories (user-supplied specs predating the engine) are
-    still accepted and simply run without a shared engine.
+    The factory is called as ``factory(instance, termination=...,
+    rng=..., engine=...)``.
     """
 
     name: str
@@ -176,20 +168,19 @@ class AlgorithmSpec:
         Every run gets one :class:`EvaluationEngine` so evaluation counting,
         timing and convergence history flow through a single shared service.
         """
-        if _accepts_engine(self.factory):
-            if engine is None:
-                engine = EvaluationEngine(instance)
-            return self.factory(instance, termination, rng, engine=engine)
-        return self.factory(instance, termination, rng)
+        if engine is None:
+            engine = EvaluationEngine(instance)
+        return self.factory(instance, termination=termination, rng=rng, engine=engine)
 
 
 # --------------------------------------------------------------------------- #
 # Picklable scheduler factories
 # --------------------------------------------------------------------------- #
 # Specs cross process boundaries (the island workers receive them whole), so
-# factories are module-level dataclasses rather than closures: a closure
-# cannot be pickled, a frozen dataclass holding a scheduler class and its
-# config can.
+# factories are never closures: the baselines and the heuristic runner are
+# ``functools.partial`` objects over their module-level classes, and the two
+# constructors that do not take the uniform keywords get a frozen dataclass
+# adapter each.
 
 
 @dataclass(frozen=True)
@@ -198,36 +189,13 @@ class _CMAFactory:
 
     config: CMAConfig
 
-    def __call__(self, instance, termination, rng, engine=None):
+    def __call__(self, instance, *, termination, rng, engine):
         return CellularMemeticAlgorithm(
             instance,
             self.config.evolve(termination=termination),
             rng=rng,
             engine=engine,
         )
-
-
-@dataclass(frozen=True)
-class _ConfiguredFactory:
-    """Builds any baseline following the uniform scheduler signature."""
-
-    scheduler: type
-    config: object
-
-    def __call__(self, instance, termination, rng, engine=None):
-        return self.scheduler(
-            instance, self.config, termination=termination, rng=rng, engine=engine
-        )
-
-
-@dataclass(frozen=True)
-class _HeuristicFactory:
-    """Wraps a constructive heuristic behind the scheduler protocol."""
-
-    heuristic: str
-
-    def __call__(self, instance, termination, rng, engine=None):
-        return _HeuristicRunner(self.heuristic, instance, rng, engine=engine)
 
 
 @dataclass(frozen=True)
@@ -241,7 +209,7 @@ class _IslandFactory:
     inner: "AlgorithmSpec"
     config: IslandConfig
 
-    def __call__(self, instance, termination, rng, engine=None):
+    def __call__(self, instance, *, termination, rng, engine):
         return IslandModel(instance, self.inner, self.config, termination, rng=rng)
 
 
@@ -261,7 +229,7 @@ def braun_ga_spec(config: GAConfig | None = None, name: str = "braun_ga") -> Alg
     base = config if config is not None else GAConfig.fast_defaults()
     return AlgorithmSpec(
         name=name,
-        factory=_ConfiguredFactory(GenerationalGA, base),
+        factory=partial(GenerationalGA, config=base),
         description="Generational GA (Braun et al.)",
     )
 
@@ -273,7 +241,7 @@ def steady_state_ga_spec(
     base = config if config is not None else SteadyStateGAConfig.fast_defaults()
     return AlgorithmSpec(
         name=name,
-        factory=_ConfiguredFactory(SteadyStateGA, base),
+        factory=partial(SteadyStateGA, config=base),
         description="Steady-state GA (Carretero & Xhafa)",
     )
 
@@ -285,7 +253,7 @@ def struggle_ga_spec(
     base = config if config is not None else StruggleGAConfig.fast_defaults()
     return AlgorithmSpec(
         name=name,
-        factory=_ConfiguredFactory(StruggleGA, base),
+        factory=partial(StruggleGA, config=base),
         description="Struggle GA (Xhafa)",
     )
 
@@ -297,7 +265,7 @@ def cellular_ga_spec(
     base = config if config is not None else CellularGAConfig()
     return AlgorithmSpec(
         name=name,
-        factory=_ConfiguredFactory(CellularGA, base),
+        factory=partial(CellularGA, config=base),
         description="Cellular GA (no local search)",
     )
 
@@ -309,7 +277,7 @@ def panmictic_ma_spec(
     base = config if config is not None else PanmicticMAConfig.fast_defaults()
     return AlgorithmSpec(
         name=name,
-        factory=_ConfiguredFactory(PanmicticMA, base),
+        factory=partial(PanmicticMA, config=base),
         description="Unstructured memetic algorithm",
     )
 
@@ -321,7 +289,7 @@ def simulated_annealing_spec(
     base = config if config is not None else SimulatedAnnealingConfig()
     return AlgorithmSpec(
         name=name,
-        factory=_ConfiguredFactory(SimulatedAnnealingScheduler, base),
+        factory=partial(SimulatedAnnealingScheduler, config=base),
         description="Simulated annealing",
     )
 
@@ -333,25 +301,31 @@ def tabu_search_spec(
     base = config if config is not None else TabuSearchConfig()
     return AlgorithmSpec(
         name=name,
-        factory=_ConfiguredFactory(TabuSearchScheduler, base),
+        factory=partial(TabuSearchScheduler, config=base),
         description="Tabu search",
     )
 
 
 class _HeuristicRunner:
-    """Adapts a constructive heuristic to the scheduler ``run()`` protocol."""
+    """Adapts a constructive heuristic to the scheduler ``run()`` protocol.
+
+    A constructive heuristic builds one schedule and stops, so the
+    ``termination`` every factory receives is accepted and ignored.
+    """
 
     def __init__(
         self,
         heuristic: str,
         instance: SchedulingInstance,
+        *,
+        termination: TerminationCriteria,
         rng: RNGLike,
-        engine: EvaluationEngine | None = None,
+        engine: EvaluationEngine,
     ) -> None:
         self.heuristic = heuristic
         self.instance = instance
         self.rng = rng
-        self.engine = engine if engine is not None else EvaluationEngine(instance)
+        self.engine = engine
 
     def run(self) -> SchedulingResult:
         self.engine.begin_run()
@@ -378,7 +352,7 @@ def heuristic_spec(heuristic: str) -> AlgorithmSpec:
     """A constructive heuristic (LJFR-SJFR, Min-Min, ...) as an algorithm spec."""
     return AlgorithmSpec(
         name=heuristic,
-        factory=_HeuristicFactory(heuristic),
+        factory=partial(_HeuristicRunner, heuristic),
         description=f"Constructive heuristic {heuristic}",
     )
 
@@ -411,6 +385,21 @@ def islands_spec(
     )
 
 
+#: The one name -> spec-builder mapping of the static layer: ``solve`` and
+#: ``islands`` resolve ``--algorithm`` through it, and every builder's
+#: default spec name is its key.
+ALGORITHM_SPECS: dict[str, Callable[..., AlgorithmSpec]] = {
+    "cma": cma_spec,
+    "braun_ga": braun_ga_spec,
+    "carretero_xhafa_ga": steady_state_ga_spec,
+    "struggle_ga": struggle_ga_spec,
+    "cellular_ga": cellular_ga_spec,
+    "panmictic_ma": panmictic_ma_spec,
+    "simulated_annealing": simulated_annealing_spec,
+    "tabu_search": tabu_search_spec,
+}
+
+
 def default_algorithm_specs() -> dict[str, AlgorithmSpec]:
     """The algorithms the paper compares, keyed by their reporting name."""
     return {
@@ -439,26 +428,20 @@ def dynamic_policy_specs(
     engine-resident service, and the warm service under a per-policy
     rolling commit *horizon* — all metaheuristics at the same
     per-activation budget, so arena gaps are attributable to the policies
-    rather than their budgets.
+    rather than their budgets.  Names resolve through
+    :func:`~repro.traces.replay.policy_spec_from_name`.
     """
-    from repro.traces.replay import (
-        cold_cma_policy_spec,
-        heuristic_policy_spec as policy_heuristic_spec,
-        warm_cma_policy_spec,
-    )
+    from repro.traces.replay import policy_spec_from_name
 
-    budget = dict(
-        max_seconds=max_seconds,
-        max_iterations=max_iterations,
-        max_stagnant_iterations=max_stagnant_iterations,
-    )
     specs = (
-        policy_heuristic_spec("min_min"),
-        cold_cma_policy_spec(**budget),
-        warm_cma_policy_spec(**budget),
-        warm_cma_policy_spec(
-            name="warm-cma-rolling", commit_horizon=horizon, **budget
-        ),
+        policy_spec_from_name(
+            name,
+            horizon=horizon,
+            max_seconds=max_seconds,
+            max_iterations=max_iterations,
+            max_stagnant_iterations=max_stagnant_iterations,
+        )
+        for name in ("min_min", "cma", "warm-cma", "warm-cma-rolling")
     )
     return {spec.name: spec for spec in specs}
 

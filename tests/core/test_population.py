@@ -1,47 +1,31 @@
-"""Tests for the cellular grid population and its initializer."""
+"""Tests for the resident cellular grid and its initializer."""
 
 import numpy as np
 import pytest
 
 from repro.core.individual import Individual
 from repro.core.neighborhood import C9Neighborhood, L5Neighborhood
-from repro.core.population import CellularGrid, PopulationInitializer
+from repro.core.population import PopulationInitializer, ResidentGrid
+from repro.engine.batch import BatchEvaluator
 from repro.heuristics import build_schedule
 from repro.model.schedule import Schedule
 
 
 def make_grid(instance, evaluator, height=3, width=3, seed=0):
-    individuals = []
-    for i in range(height * width):
-        individual = Individual(Schedule.random(instance, rng=seed + i))
-        individual.evaluate(evaluator)
-        individuals.append(individual)
-    return CellularGrid(height, width, individuals)
+    schedules = [Schedule.random(instance, rng=seed + i) for i in range(height * width)]
+    return ResidentGrid(height, width, BatchEvaluator.from_schedules(schedules), evaluator)
 
 
-class TestCellularGrid:
+class TestResidentGrid:
     def test_size_and_indexing(self, tiny_instance, evaluator):
         grid = make_grid(tiny_instance, evaluator)
         assert grid.size == len(grid) == 9
         assert isinstance(grid[0], Individual)
 
-    def test_wrong_individual_count_rejected(self, tiny_instance, evaluator):
-        with pytest.raises(ValueError):
-            CellularGrid(2, 2, [Individual(Schedule.random(tiny_instance, rng=0))])
-
     def test_out_of_range_position_rejected(self, tiny_instance, evaluator):
         grid = make_grid(tiny_instance, evaluator)
         with pytest.raises(IndexError):
             grid[9]
-        with pytest.raises(IndexError):
-            grid[-1] = grid[0]
-
-    def test_setitem_replaces_cell(self, tiny_instance, evaluator):
-        grid = make_grid(tiny_instance, evaluator)
-        newcomer = Individual(Schedule.random(tiny_instance, rng=99))
-        newcomer.evaluate(evaluator)
-        grid[4] = newcomer
-        assert grid[4] is newcomer
 
     def test_coordinate_conversions(self, tiny_instance, evaluator):
         grid = make_grid(tiny_instance, evaluator, height=3, width=4)
@@ -56,26 +40,20 @@ class TestCellularGrid:
         assert grid.worst().fitness == fitnesses.max()
         assert grid[grid.best_position()].fitness == fitnesses.min()
 
-    def test_mean_fitness(self, tiny_instance, evaluator):
-        grid = make_grid(tiny_instance, evaluator)
-        assert grid.mean_fitness() == pytest.approx(grid.fitness_values().mean())
-
-    def test_neighborhood_returns_individuals(self, tiny_instance, evaluator):
-        grid = make_grid(tiny_instance, evaluator)
-        neighbors = grid.neighborhood(4, L5Neighborhood())
-        assert len(neighbors) == 5
-        assert all(isinstance(n, Individual) for n in neighbors)
-
     def test_neighborhood_contains_centre(self, tiny_instance, evaluator):
         grid = make_grid(tiny_instance, evaluator)
-        assert grid[4] in grid.neighborhood(4, C9Neighborhood())
+        assert len(grid.neighborhood(4, L5Neighborhood())) == 5
+        neighbors = grid.neighborhood(4, C9Neighborhood())
+        assert any(
+            np.array_equal(n.schedule.assignment, grid[4].schedule.assignment)
+            for n in neighbors
+        )
 
 
 class TestDiversityMetrics:
     def test_identical_population_has_zero_diversity(self, tiny_instance, evaluator):
-        base = Individual(Schedule.random(tiny_instance, rng=1))
-        base.evaluate(evaluator)
-        grid = CellularGrid(2, 2, [base.copy() for _ in range(4)])
+        base = Schedule.random(tiny_instance, rng=1)
+        grid = ResidentGrid(2, 2, BatchEvaluator.from_schedules([base] * 4), evaluator)
         assert grid.genotypic_diversity() == pytest.approx(0.0)
         assert grid.entropy() == pytest.approx(0.0)
 
@@ -89,32 +67,35 @@ class TestDiversityMetrics:
         assert grid.genotypic_diversity() <= 1.0
 
     def test_single_cell_grid(self, tiny_instance, evaluator):
-        individual = Individual(Schedule.random(tiny_instance, rng=0))
-        individual.evaluate(evaluator)
-        grid = CellularGrid(1, 1, [individual])
+        grid = make_grid(tiny_instance, evaluator, height=1, width=1)
         assert grid.genotypic_diversity() == 0.0
+
+
+def build(instance, height, width, evaluator, rng, **initializer):
+    return PopulationInitializer(**initializer).build_resident(
+        instance, height, width, evaluator, scratch_rows=2, rng=rng
+    )
 
 
 class TestPopulationInitializer:
     def test_grid_dimensions(self, tiny_instance, evaluator):
-        grid = PopulationInitializer().build(tiny_instance, 4, 3, evaluator, rng=1)
+        grid = build(tiny_instance, 4, 3, evaluator, rng=1)
         assert grid.height == 4 and grid.width == 3
         assert grid.size == 12
+        assert grid.scratch_rows == 2
 
     def test_every_individual_evaluated(self, tiny_instance, evaluator):
-        grid = PopulationInitializer().build(tiny_instance, 3, 3, evaluator, rng=1)
+        grid = build(tiny_instance, 3, 3, evaluator, rng=1)
         assert all(ind.is_evaluated for ind in grid)
+        assert evaluator.evaluations == 9
 
     def test_first_individual_is_the_seed_heuristic(self, tiny_instance, evaluator):
-        grid = PopulationInitializer(seeding_heuristic="min_min").build(
-            tiny_instance, 3, 3, evaluator, rng=1
-        )
+        grid = build(tiny_instance, 3, 3, evaluator, rng=1, seeding_heuristic="min_min")
         expected = build_schedule("min_min", tiny_instance)
         assert np.array_equal(grid[0].schedule.assignment, expected.assignment)
 
     def test_rest_are_perturbations_of_the_seed(self, small_instance, evaluator):
-        initializer = PopulationInitializer(perturbation_rate=0.3)
-        grid = initializer.build(small_instance, 3, 3, evaluator, rng=2)
+        grid = build(small_instance, 3, 3, evaluator, rng=2, perturbation_rate=0.3)
         seed_assignment = grid[0].schedule.assignment
         for position in range(1, grid.size):
             distance = np.count_nonzero(
@@ -126,21 +107,12 @@ class TestPopulationInitializer:
         with pytest.raises(ValueError):
             PopulationInitializer(perturbation_rate=1.5)
 
-    def test_perturb_changes_at_most_rate_fraction(self, small_instance, evaluator):
-        initializer = PopulationInitializer(perturbation_rate=0.5)
-        schedule = build_schedule("ljfr_sjfr", small_instance)
-        original = np.array(schedule.assignment)
-        initializer.perturb(schedule, rng=3)
-        changed = np.count_nonzero(original != schedule.assignment)
-        assert changed <= int(0.5 * small_instance.nb_jobs)
-        schedule.validate()
-
     def test_population_is_diverse(self, small_instance, evaluator):
-        grid = PopulationInitializer().build(small_instance, 5, 5, evaluator, rng=4)
+        grid = build(small_instance, 5, 5, evaluator, rng=4)
         assert grid.genotypic_diversity() > 0.1
 
     def test_deterministic_for_seed(self, tiny_instance, evaluator):
-        a = PopulationInitializer().build(tiny_instance, 3, 3, evaluator, rng=5)
-        b = PopulationInitializer().build(tiny_instance, 3, 3, evaluator, rng=5)
+        a = build(tiny_instance, 3, 3, evaluator, rng=5)
+        b = build(tiny_instance, 3, 3, evaluator, rng=5)
         for i in range(9):
             assert np.array_equal(a[i].schedule.assignment, b[i].schedule.assignment)

@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from repro.engine.service import EvaluationEngine
 from repro.experiments.runner import (
+    ALGORITHM_SPECS,
+    AlgorithmSpec,
     ExperimentSettings,
     braun_ga_spec,
     cellular_ga_spec,
     cma_spec,
     compare_algorithms,
     default_algorithm_specs,
+    dynamic_policy_specs,
     heuristic_spec,
     panmictic_ma_spec,
     repeat_run,
@@ -81,11 +85,65 @@ class TestSpecs:
         assert result.makespan > 0
         assert result.algorithm == spec.name
 
+    def test_factories_receive_uniform_keywords(self, instance):
+        calls = []
+
+        def factory(instance, **keywords):
+            calls.append(keywords)
+            return keywords
+
+        termination = FAST.termination()
+        AlgorithmSpec("probe", factory).build(instance, termination, rng=7)
+        assert set(calls[0]) == {"termination", "rng", "engine"}
+        assert calls[0]["termination"] is termination
+        assert calls[0]["rng"] == 7
+        assert isinstance(calls[0]["engine"], EvaluationEngine)
+
     def test_heuristic_spec_runs_instantly(self, instance):
         result = heuristic_spec("min_min").build(instance, FAST.termination(), rng=1).run()
         assert result.iterations == 0
         assert result.evaluations == 1
         assert len(result.history) == 1
+
+
+class TestAlgorithmNames:
+    @pytest.mark.parametrize("name", list(ALGORITHM_SPECS))
+    def test_every_builder_is_named_by_its_key(self, name):
+        assert ALGORITHM_SPECS[name]().name == name
+
+
+class TestDynamicPolicySpecs:
+    """The arena roster, pinned field by field to its hand-built predecessor."""
+
+    def test_default_roster(self):
+        budget = {"max_seconds": 0.25, "max_iterations": 50, "max_stagnant_iterations": None}
+        roster = dynamic_policy_specs()
+        assert list(roster) == ["min_min", "cma", "warm-cma", "warm-cma-rolling"]
+        expected = {
+            "min_min": ("inherit", "HeuristicBatchPolicy", ("min_min",), {}),
+            "cma": ("inherit", "CMABatchPolicy", (None,), budget),
+            "warm-cma": ("inherit", "WarmCMAPolicy", (None,), budget),
+            "warm-cma-rolling": (10.0, "WarmCMAPolicy", (None,), budget),
+        }
+        for name, spec in roster.items():
+            horizon, func, args, keywords = expected[name]
+            assert spec.name == name
+            assert spec.commit_horizon == horizon
+            assert spec.activation == "inherit"
+            assert spec.factory.func.__name__ == func
+            assert spec.factory.args == args
+            assert spec.factory.keywords == keywords
+
+    def test_budget_and_horizon_reach_every_metaheuristic(self):
+        roster = dynamic_policy_specs(
+            horizon=4.0, max_seconds=0.1, max_iterations=None, max_stagnant_iterations=7
+        )
+        budget = {"max_seconds": 0.1, "max_iterations": None, "max_stagnant_iterations": 7}
+        assert roster["min_min"].factory.keywords == {}
+        for name in ("cma", "warm-cma", "warm-cma-rolling"):
+            assert roster[name].factory.keywords == budget
+        assert roster["warm-cma"].commit_horizon == "inherit"
+        assert roster["warm-cma-rolling"].commit_horizon == 4.0
 
 
 class TestRepeatRun:

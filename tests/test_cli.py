@@ -1,11 +1,31 @@
 """Tests for the repro-scheduler command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from repro.cli import ALGORITHMS, build_parser, main
+from repro.baselines import PanmicticMA, SteadyStateGA, StruggleGA
+from repro.cli import build_parser, main
+from repro.core import TerminationCriteria
+from repro.experiments.runner import ALGORITHM_SPECS
+from repro.model.benchmark import generate_braun_like_instance
 from repro.model.generator import ETCGeneratorConfig, generate_instance
 from repro.model.io import save_etc_file
+
+
+def algorithm_choices(command):
+    """The ``--algorithm`` choices of one subcommand."""
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return next(
+        action.choices
+        for action in subparsers.choices[command]._actions
+        if action.dest == "algorithm"
+    )
 
 
 class TestParser:
@@ -23,6 +43,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "--algorithm", "magic"])
 
+    @pytest.mark.parametrize("command", ["solve", "islands"])
+    def test_algorithm_choices_are_the_runner_mapping(self, command):
+        assert list(algorithm_choices(command)) == list(ALGORITHM_SPECS)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--algorithm", "magic"])
+
     def test_table_choices(self):
         args = build_parser().parse_args(["table", "--table", "table4"])
         assert args.table == "table4"
@@ -39,7 +65,7 @@ class TestSolveCommand:
         assert "makespan" in out
         assert "cma" in out
 
-    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != "cma"])
+    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHM_SPECS if a != "cma"])
     def test_every_algorithm_runs(self, algorithm, capsys):
         code = main(
             [
@@ -55,6 +81,38 @@ class TestSolveCommand:
         )
         assert code == 0
         assert algorithm in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "algorithm, scheduler",
+        [
+            ("carretero_xhafa_ga", SteadyStateGA),
+            ("struggle_ga", StruggleGA),
+            ("panmictic_ma", PanmicticMA),
+        ],
+    )
+    def test_solve_runs_the_configuration_its_name_maps_to(
+        self, algorithm, scheduler, monkeypatch, capsys
+    ):
+        built = []
+        original_run = scheduler.run
+
+        def spy(self):
+            built.append(self)
+            return original_run(self)
+
+        monkeypatch.setattr(scheduler, "run", spy)
+        code = main(
+            ["solve", *SMALL, "--algorithm", algorithm, "--seconds", "10", "--iterations", "1"]
+        )
+        assert code == 0
+        instance = generate_braun_like_instance(
+            "u_c_hihi.0", rng=3, nb_jobs=24, nb_machines=4
+        )
+        expected = ALGORITHM_SPECS[algorithm]().build(
+            instance, TerminationCriteria.by_iterations(1), rng=3
+        )
+        assert [type(s) for s in built] == [scheduler]
+        assert built[0].config == expected.config
 
     def test_etc_file_input(self, tmp_path, capsys):
         instance = generate_instance(
