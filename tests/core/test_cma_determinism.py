@@ -16,6 +16,9 @@ trajectories, and both disciplines share the same initial population.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -25,11 +28,25 @@ from repro.core.termination import TerminationCriteria
 from repro.model.generator import ETCGeneratorConfig, generate_instance
 
 
+def decision_instances():
+    """The instances the decision digests were recorded on, by name."""
+    tiny = ETCGeneratorConfig(nb_jobs=16, nb_machines=4, consistency="inconsistent")
+    mid = ETCGeneratorConfig(nb_jobs=128, nb_machines=8, consistency="inconsistent")
+    return {
+        "tiny": generate_instance(tiny, rng=123, name="tiny"),
+        "mid": generate_instance(mid, rng=321, name="mid"),
+    }
+
+
 @pytest.fixture(scope="module")
-def golden_instance():
+def instances():
+    return decision_instances()
+
+
+@pytest.fixture(scope="module")
+def golden_instance(instances):
     """The exact instance the golden trajectories were recorded on."""
-    config = ETCGeneratorConfig(nb_jobs=16, nb_machines=4, consistency="inconsistent")
-    return generate_instance(config, rng=123, name="tiny")
+    return instances["tiny"]
 
 
 def run_trajectory(instance, local_search, seed, cell_updates, iterations=12):
@@ -49,6 +66,76 @@ GOLDEN = {
     ("slm", 7): [3338783.1340076071, 3099605.4756459794, 2377291.3849276155, 2207476.1675497359],
     ("gsm", 7): [2709730.5608986756, 2397573.9981100131, 2397573.9981100131, 2372706.4442923358],
 }
+
+
+def decision_digest(instance, local_search, seed, iterations=12):
+    """sha256 over every decision a sequential run makes.
+
+    Hashes the final population's assignments, the evaluation count and
+    the generator state: equal digests mean the same offspring, the same
+    replacements and the same random draws, whatever the last bits of the
+    cached fitness arithmetic.
+    """
+    config = CMAConfig.fast_defaults(
+        TerminationCriteria.by_iterations(iterations)
+    ).evolve(local_search=local_search, cell_updates="sequential")
+    algorithm = CellularMemeticAlgorithm(instance, config, rng=seed)
+    algorithm.run()
+    grid = algorithm.grid
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(grid.batch.assignments[: grid.size]).tobytes())
+    digest.update(str(algorithm.evaluator.evaluations).encode())
+    digest.update(json.dumps(algorithm.rng.bit_generator.state, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+DECISION_SEARCHES = ("lm", "slm", "lmcts", "lmctm", "gsm", "vns", "none")
+DECISION_CASES = [
+    (name, local_search, seed)
+    for name in ("tiny", "mid")
+    for local_search in DECISION_SEARCHES
+    for seed in (7, 19)
+]
+
+#: Sequential-run decision digests (see :func:`decision_digest`), recorded
+#: before the sequential discipline moved onto one-row batch phases.
+GOLDEN_DECISIONS = {
+    ('mid', 'gsm', 7): '7eef9c9f7171006495e50af80fb89061c0fbfa2a68cc9729bf00ff8e4e4cda08',
+    ('mid', 'gsm', 19): '723f4c170eb2a1648bdb6470da99755586444b41dfa70638cd85bb650a010d7e',
+    ('mid', 'lm', 7): 'f6b63f314958e2e39cb03997ac0c2520f355367c4425dafac979f2f8f725cb16',
+    ('mid', 'lm', 19): 'fda7883a71d8e3168dec6e746828653ebc8aa06e9e9c35b62b5f1871d39cc005',
+    ('mid', 'lmctm', 7): 'e954eab4c3d607d84ff06024206517e665661b81092e41450ef6be4010165240',
+    ('mid', 'lmctm', 19): '0dd91e78b3823409377e9442168468cf046aea90668e9f6a521a4dad4e897cd6',
+    ('mid', 'lmcts', 7): 'e0e249c4feac7ff7e4898736256d93bf88d4f11306eb428e448b769686fb74f4',
+    ('mid', 'lmcts', 19): '375cc6429cd0f50f2a0938fe2bb1b0ddbd5269436c627651853958bd1b3b0778',
+    ('mid', 'none', 7): '2f43c9da18052bf898b45cc2e67bb09ce011ad59e54459da5522a6eba1eeaa9e',
+    ('mid', 'none', 19): 'd7468d5bf17f3775ab625e355197b25f15d68d28c12b6da7d1a6db2ee4e7f016',
+    ('mid', 'slm', 7): '46a3366e5cc0e49c06b0bc685effcda3f71fe9a5c07b7e8d27fa78a56d9309fa',
+    ('mid', 'slm', 19): '1d2a6a89905adb820a0641318c04536b67743fcfdee6b0910885d6fb01cb5c09',
+    ('mid', 'vns', 7): '89e5d008c0ae94487e3be4e4b2db0671f425213cffaf519b9b33c35733b2e154',
+    ('mid', 'vns', 19): 'e8f6ee1170e002d0dce68d432be28b8cea731e957f57bdc0d68c3a89572ee9f1',
+    ('tiny', 'gsm', 7): 'bb47492d4741b6ac6e8965ce7333a534743ee59e4727c5fc7c45b7394bea72cf',
+    ('tiny', 'gsm', 19): '5b8856690dfce5e1784f6940c39852e9629bd7ba82870c3a2e7a88cb8b94fbed',
+    ('tiny', 'lm', 7): 'ef81d53977a3762ac589d4e7992048cc625618e8381a0f848f37d50ecdfcf141',
+    ('tiny', 'lm', 19): '008cbe240b105e8c892ab311289b9feefe56ca79cc2d1ddb1da2aa414e55adc1',
+    ('tiny', 'lmctm', 7): 'bd8a1d3b4a5b2ba42ba0826fcfda7d644e22a78845ae12b55014a936d9354321',
+    ('tiny', 'lmctm', 19): 'd10138f2e28a3ab8a0b0247ec17f2cc3d99014a8ec941df5e6c21aad235500f9',
+    ('tiny', 'lmcts', 7): 'bb47492d4741b6ac6e8965ce7333a534743ee59e4727c5fc7c45b7394bea72cf',
+    ('tiny', 'lmcts', 19): 'e92b21a801014e8364458303e1c9501a2fb36cb56a8865426634e26d6279f7ae',
+    ('tiny', 'none', 7): '5be7dd3757888961c107e30ebc9e129c783c4233cf797e8c50746edc87d9d88f',
+    ('tiny', 'none', 19): '40098da7dd1a86cca1f378392b62d8f994d6a6f966b316223884e94616b0d3b6',
+    ('tiny', 'slm', 7): '6ded1e4ab65d64e323111522a88db88f5cb6f74c56bbda7e60cfefb288e0b439',
+    ('tiny', 'slm', 19): '18f1697def10809463b5c2ae2b089ac480654958a9c5e3d9a4327350d5bc943e',
+    ('tiny', 'vns', 7): '88d9ef5b0c92d883ae156273acfa2d40a2e97781cba5ad60179dfa36479b683b',
+    ('tiny', 'vns', 19): '08eaa96a332ba5b458e62b91c348431bf41750ab6a1007be30439480020c6d44',
+}
+
+
+class TestSequentialDecisionsArePinned:
+    @pytest.mark.parametrize("name,local_search,seed", DECISION_CASES)
+    def test_decision_digest(self, instances, name, local_search, seed):
+        digest = decision_digest(instances[name], local_search, seed)
+        assert digest == GOLDEN_DECISIONS[(name, local_search, seed)]
 
 
 class TestSequentialReproducesPreRefactorTrajectories:
