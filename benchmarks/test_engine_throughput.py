@@ -143,11 +143,14 @@ def _time_grid_iteration(instance, cells: int, local_search: str) -> tuple[float
     """Seconds for one grid iteration's offspring pipeline, scalar vs. resident.
 
     Both paths push ``cells`` offspring (the same crossover children) through
-    ``local_search`` and evaluation.  The scalar path is the PR-1 cMA
-    pipeline: one detached ``Schedule`` + ``Individual`` per offspring,
-    scalar local-search steps, one counted evaluation each.  The resident
-    path stages the whole offspring batch into the grid's scratch rows and
-    improves/evaluates it with vectorized whole-batch passes.
+    ``local_search`` and evaluation.  The scalar path handles one offspring
+    at a time: one detached ``Schedule`` + ``Individual`` per offspring,
+    improved by ``LocalSearch.improve`` (a one-row batch, since the
+    built-ins have no scalar step any more), one counted evaluation each.
+    Its timings therefore no longer compare with snapshots taken when it
+    ran scalar steps.  The resident path stages the whole offspring batch
+    into the grid's scratch rows and improves/evaluates it with vectorized
+    whole-batch passes.
     """
     evaluator = FitnessEvaluator(0.75)
     search = get_local_search(local_search, iterations=5)

@@ -16,6 +16,7 @@ from repro.core.cma import CellularMemeticAlgorithm
 from repro.core.config import CMAConfig
 from repro.core.local_search import LocalMCTSwapSearch
 from repro.core.termination import TerminationCriteria
+from repro.engine import BatchEvaluator
 from repro.model.benchmark import generate_braun_like_instance
 from repro.model.fitness import FitnessEvaluator
 from repro.model.schedule import Schedule
@@ -57,12 +58,13 @@ def test_lmcts_scan(benchmark, instance):
     evaluator = FitnessEvaluator()
     search = LocalMCTSwapSearch(iterations=1)
     rng = np.random.default_rng(5)
-    base = Schedule.random(instance, rng=6)
+    base = BatchEvaluator.random(instance, 1, rng=6)
+    row = np.zeros(1, dtype=np.int64)
 
     def scan():
-        probe = base.copy()
-        search.step(probe, evaluator, rng)
-        return probe.makespan
+        probe = base.expanded(0)  # a fresh copy of the row
+        search.step_batch(probe, row, evaluator, rng)
+        return float(probe.makespans()[0])
 
     assert benchmark(scan) > 0
 

@@ -43,7 +43,8 @@ class CellularGAConfig:
     fitness_weight: float = 0.75
     seeding_heuristic: str = "ljfr_sjfr"
     #: Resident-grid update discipline, threaded through to the cMA core
-    #: ("batch" = whole-grid staged offspring, "sequential" = asynchronous).
+    #: ("batch" = a stream's offspring staged at once, "sequential" = the
+    #: same phase one offspring at a time, asynchronous).
     cell_updates: str = "batch"
 
     def __post_init__(self) -> None:

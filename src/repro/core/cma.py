@@ -35,11 +35,12 @@ offered through :attr:`CMAConfig.cell_updates`:
   order.  Offspring of one stream are bred from the grid state at the start
   of that stream; the mutation stream still sees the recombination stream's
   replacements.
-* ``"sequential"`` — the paper's fully asynchronous discipline: an
-  offspring installed in its cell is immediately visible to the later
-  updates of the same iteration.  This path reproduces the pre-resident
-  implementation's best-fitness trajectories bit for bit and serves as the
-  semantic reference for the batch path.
+* ``"sequential"`` — the paper's fully asynchronous discipline: the same
+  phases run on one offspring at a time (a one-row stage, improve and
+  evaluate), so an offspring placed in its cell is immediately visible to
+  the later updates of the same iteration.  It makes the same decisions as
+  the pre-resident implementation (same offspring, replacements and random
+  draws) and serves as the semantic reference for the batch path.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from repro.core.termination import SearchState
 from repro.engine.results import SchedulingResult
 from repro.engine.service import EvaluationEngine
 from repro.model.instance import SchedulingInstance
-from repro.model.schedule import Schedule
 from repro.utils.rng import RNGLike, as_generator
 
 __all__ = ["SchedulingResult", "CellularMemeticAlgorithm"]
@@ -208,13 +208,9 @@ class CellularMemeticAlgorithm:
         if self.state is None:
             raise RuntimeError("call start() before step()")
         state = self.state
-        improved = False
-        if self.config.cell_updates == "batch":
-            improved |= self._recombination_phase(self._rec_order)
-            improved |= self._mutation_phase(self._mut_order)
-        else:
-            improved |= self._recombination_stream(self._rec_order)
-            improved |= self._mutation_stream(self._mut_order)
+        cfg = self.config
+        improved = self._stream(self._rec_order, cfg.nb_recombinations, self._recombination_phase)
+        improved |= self._stream(self._mut_order, cfg.nb_mutations, self._mutation_phase)
         self._rec_order.update()
         self._mut_order.update()
 
@@ -315,27 +311,39 @@ class CellularMemeticAlgorithm:
 
     def _initial_local_search_pass(self, grid: ResidentGrid) -> None:
         """The initial whole-population local-search pass of Algorithm 1."""
-        if self.config.cell_updates == "batch":
+        for rows in self._groups(grid.population_rows):
             improved = self.engine.improve_batch(
-                grid.batch, grid.population_rows, self.local_search, self.rng
+                grid.batch, rows, self.local_search, self.rng
             )
             if improved.any():
-                grid.evaluate_rows(grid.population_rows[improved])
-        else:
-            for row in range(grid.size):
-                if self.engine.improve(grid.batch.view(row), self.local_search, self.rng):
-                    grid.evaluate_rows([row])
+                grid.evaluate_rows(rows[improved])
 
-    # -------------------------- batch cell updates --------------------- #
-    def _recombination_phase(self, order) -> bool:
-        """Breed, batch-improve, batch-evaluate and place one stream's offspring."""
+    # --------------------------- cell updates -------------------------- #
+    def _groups(self, items: np.ndarray) -> list[np.ndarray]:
+        """*items* as one batch, or one at a time under sequential updates."""
+        if self.config.cell_updates == "sequential":
+            return [items[i : i + 1] for i in range(items.shape[0])]
+        return [items] if items.shape[0] else []
+
+    def _stream(self, order, count: int, phase) -> bool:
+        """Visit *count* cells of *order* and run *phase* on them.
+
+        The batch discipline runs the phase once on all visited cells; the
+        sequential one runs it cell by cell, so each replacement is visible
+        to the next offspring.
+        """
+        positions = np.array([order.advance() for _ in range(count)], dtype=np.int64)
+        improved = False
+        for group in self._groups(positions):
+            improved |= phase(group)
+        return improved
+
+    def _recombination_phase(self, positions: np.ndarray) -> bool:
+        """Breed, batch-improve, batch-evaluate and place offspring for *positions*."""
         cfg = self.config
-        if cfg.nb_recombinations == 0:
-            return False
-        positions = [order.advance() for _ in range(cfg.nb_recombinations)]
         children = np.empty((len(positions), self.instance.nb_jobs), dtype=np.int64)
         for i, position in enumerate(positions):
-            neighbors = self.grid.neighborhood(position, self.neighborhood)
+            neighbors = self.grid.neighborhood(int(position), self.neighborhood)
             parents = self.selection.select(
                 neighbors, cfg.nb_solutions_to_recombine, self.rng
             )
@@ -344,70 +352,26 @@ class CellularMemeticAlgorithm:
             )
         return self._finalize_phase(positions, self.grid.stage(children))
 
-    def _mutation_phase(self, order) -> bool:
+    def _mutation_phase(self, positions: np.ndarray) -> bool:
         """Mutate copies of the visited cells, then batch-improve and place them."""
-        cfg = self.config
-        if cfg.nb_mutations == 0:
-            return False
-        positions = [order.advance() for _ in range(cfg.nb_mutations)]
         rows = self.grid.stage_cells(positions)
         for row in rows:
             self.mutation.mutate(self.grid.batch.view(int(row)), self.rng)
         return self._finalize_phase(positions, rows)
 
-    def _finalize_phase(self, positions: list[int], rows: np.ndarray) -> bool:
+    def _finalize_phase(self, positions: np.ndarray, rows: np.ndarray) -> bool:
         """Whole-batch local search + evaluation, then in-order replacement."""
         self.engine.improve_batch(self.grid.batch, rows, self.local_search, self.rng)
         fitnesses = self.grid.evaluate_rows(rows)
         improved_best = False
         for position, row, fitness in zip(positions, rows, fitnesses):
-            fitness = float(fitness)
+            position, fitness = int(position), float(fitness)
             if self.replacement.accepts(self.grid.fitness_at(position), fitness):
                 self.grid.adopt(position, int(row))
                 if fitness < self.best.fitness:
                     self.best = self.grid[position].copy()
                     improved_best = True
         return improved_best
-
-    # ------------------------ sequential cell updates ------------------ #
-    def _recombination_stream(self, order) -> bool:
-        """Run the ``nb_recombinations`` recombination updates of one iteration."""
-        cfg = self.config
-        improved_best = False
-        for _ in range(cfg.nb_recombinations):
-            position = order.advance()
-            neighbors = self.grid.neighborhood(position, self.neighborhood)
-            parents = self.selection.select(
-                neighbors, cfg.nb_solutions_to_recombine, self.rng
-            )
-            child_assignment = self.crossover.recombine(
-                [parent.schedule.assignment for parent in parents], self.rng
-            )
-            offspring = Individual(Schedule(self.instance, child_assignment))
-            improved_best |= self._finalize_offspring(position, offspring)
-        return improved_best
-
-    def _mutation_stream(self, order) -> bool:
-        """Run the ``nb_mutations`` mutation updates of one iteration."""
-        cfg = self.config
-        improved_best = False
-        for _ in range(cfg.nb_mutations):
-            position = order.advance()
-            offspring = self.grid[position].copy()
-            self.mutation.mutate(offspring.schedule, self.rng)
-            improved_best |= self._finalize_offspring(position, offspring)
-        return improved_best
-
-    def _finalize_offspring(self, position: int, offspring: Individual) -> bool:
-        """Local search, evaluation and conditional replacement of one offspring."""
-        self.engine.improve(offspring.schedule, self.local_search, self.rng)
-        offspring.evaluate(self.evaluator)
-        if self.replacement.should_replace(self.grid[position], offspring):
-            self.grid.install(position, offspring)
-            if offspring.fitness < self.best.fitness:
-                self.best = offspring.copy()
-                return True
-        return False
 
     def _record(self, state: SearchState) -> None:
         self.engine.record(

@@ -229,9 +229,9 @@ class CMAConfig:
         How a stream's cell updates are executed. ``"batch"`` (default)
         stages the whole stream's offspring in the resident grid's scratch
         rows and improves/evaluates them with one vectorized pass per
-        local-search step; ``"sequential"`` reproduces the paper's fully
-        asynchronous one-cell-at-a-time updates (and the pre-resident-grid
-        best-fitness trajectories) exactly.
+        local-search step; ``"sequential"`` runs the same phase one
+        offspring at a time, the paper's fully asynchronous updates (it
+        makes the same decisions as the pre-resident-grid code).
     fitness_weight:
         The λ of the weighted-sum fitness.
     termination:

@@ -28,20 +28,21 @@ fitness improves*, so a local-search step never degrades the offspring.  The
 number of steps per offspring is the ``nb local search iterations``
 parameter of Table 1 (5 in the tuned configuration).
 
-Every method exists at two granularities.  :meth:`LocalSearch.step` /
-:meth:`LocalSearch.improve` operate on one schedule (the scalar path).
-:meth:`LocalSearch.step_batch` / :meth:`LocalSearch.improve_batch` improve a
-whole row subset of a resident :class:`~repro.engine.batch.BatchEvaluator`
-population at once: one vectorized scan chooses a candidate per row, the
-moves are applied with incremental two-machine cache updates, and rows that
-did not strictly improve are reverted from the undo record.  Registered
-custom searches only need ``step`` — the default ``step_batch`` walks rows
-through zero-copy engine views.
+Each built-in method is one implementation, :meth:`LocalSearch.step_batch`,
+which improves a whole row subset of a resident
+:class:`~repro.engine.batch.BatchEvaluator` population at once: one
+vectorized scan chooses a candidate per row, the moves are applied with
+incremental two-machine cache updates, and rows that did not strictly
+improve are reverted from the undo record.  Both cell-update disciplines of
+the cMA run it, the sequential one on one-row batches.
+:meth:`LocalSearch.improve` adapts it to a single detached schedule.
+Registered custom searches may define only :meth:`LocalSearch.step` on one
+schedule — the default ``step_batch`` walks rows through it over zero-copy
+engine views.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -67,15 +68,10 @@ __all__ = [
 ]
 
 
-def _fitness_of(schedule: Schedule, evaluator: FitnessEvaluator) -> float:
-    """Scalarized fitness of *schedule* without touching the evaluation counter."""
-    return evaluator.scalarize(schedule.makespan, schedule.mean_flowtime)
-
-
 def _batch_fitness(
     batch: BatchEvaluator, rows: np.ndarray, evaluator: FitnessEvaluator
 ) -> np.ndarray:
-    """Scalarized fitness of a row subset (counter untouched, like `_fitness_of`)."""
+    """Scalarized fitness of a row subset without touching the evaluation counter."""
     return evaluator.scalarize_batch(batch.makespans(rows), batch.mean_flowtimes(rows))
 
 
@@ -118,8 +114,15 @@ def _accept_swaps(
     return improved
 
 
-class LocalSearch(abc.ABC):
-    """Iterated improvement applied to one schedule in place.
+class LocalSearch:
+    """Iterated improvement of resident batch rows (or of one schedule).
+
+    A subclass implements one improvement attempt at either granularity and
+    inherits the other: the built-in methods override :meth:`step_batch`
+    with a vectorized whole-batch step, while a custom search may define
+    only :meth:`step` on one schedule, which the default :meth:`step_batch`
+    applies row by row.  Defining a subclass that overrides neither raises
+    :class:`TypeError`.
 
     Parameters
     ----------
@@ -131,26 +134,38 @@ class LocalSearch(abc.ABC):
     #: Registry key; subclasses must override it.
     name: str = ""
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.step is LocalSearch.step and cls.step_batch is LocalSearch.step_batch:
+            raise TypeError(f"{cls.__name__} must override step or step_batch")
+
     def __init__(self, iterations: int = 5) -> None:
         if iterations < 0:
             raise ValueError(f"iterations must be non-negative, got {iterations}")
         self.iterations = int(iterations)
 
-    @abc.abstractmethod
     def step(
         self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
     ) -> bool:
-        """Attempt one improving move; return whether the schedule improved."""
+        """Attempt one improving move on *schedule*; return whether it improved.
+
+        The extension hook for custom searches; the built-in methods
+        implement :meth:`step_batch` only.
+        """
+        raise NotImplementedError(f"{type(self).__name__} implements step_batch only")
 
     def improve(
         self, schedule: Schedule, evaluator: FitnessEvaluator, rng: RNGLike = None
     ) -> bool:
-        """Run :attr:`iterations` improvement steps; return whether any succeeded."""
-        gen = as_generator(rng)
-        improved = False
-        for _ in range(self.iterations):
-            if self.step(schedule, evaluator, gen):
-                improved = True
+        """Run :attr:`iterations` steps on one schedule; return whether any succeeded.
+
+        Runs :meth:`improve_batch` on a one-row copy of *schedule* and writes
+        the row back when it improved.
+        """
+        batch = BatchEvaluator(schedule.instance, schedule.assignment, evaluator.weight)
+        improved = bool(self.improve_batch(batch, [0], evaluator, rng)[0])
+        if improved:
+            schedule.set_assignment(batch.assignments[0])
         return improved
 
     def step_batch(
@@ -202,24 +217,13 @@ class NullLocalSearch(LocalSearch):
 
     name = "none"
 
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        return False
-
-    def improve(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: RNGLike = None
-    ) -> bool:
-        return False
-
-    def improve_batch(
+    def step_batch(
         self,
         batch: BatchEvaluator,
-        rows: np.ndarray | Iterable[int],
+        rows: np.ndarray,
         evaluator: FitnessEvaluator,
-        rng: RNGLike = None,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         return np.zeros(rows.shape[0], dtype=bool)
 
 
@@ -227,26 +231,6 @@ class LocalMoveSearch(LocalSearch):
     """LM: move a random job to a random machine, keep only improvements."""
 
     name = "lm"
-
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        nb_jobs = schedule.instance.nb_jobs
-        nb_machines = schedule.instance.nb_machines
-        if nb_machines < 2:
-            return False
-        job = int(rng.integers(0, nb_jobs))
-        old_machine = int(schedule.assignment[job])
-        new_machine = int(rng.integers(0, nb_machines))
-        if new_machine == old_machine:
-            return False
-        before = _fitness_of(schedule, evaluator)
-        schedule.move_job(job, new_machine)
-        after = _fitness_of(schedule, evaluator)
-        if after < before:
-            return True
-        schedule.move_job(job, old_machine)
-        return False
 
     def step_batch(
         self,
@@ -275,28 +259,6 @@ class SteepestLocalMoveSearch(LocalSearch):
     """SLM: move a random job to the machine giving the best completion-time drop."""
 
     name = "slm"
-
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        instance = schedule.instance
-        nb_machines = instance.nb_machines
-        if nb_machines < 2:
-            return False
-        job = int(rng.integers(0, instance.nb_jobs))
-        source = int(schedule.assignment[job])
-        resulting_makespan = scan.score_moves_for_job(
-            instance.etc, schedule.assignment, schedule.completion_times, job
-        )
-        target = int(resulting_makespan.argmin())
-
-        before = _fitness_of(schedule, evaluator)
-        schedule.move_job(job, target)
-        after = _fitness_of(schedule, evaluator)
-        if after < before:
-            return True
-        schedule.move_job(job, source)
-        return False
 
     def step_batch(
         self,
@@ -329,37 +291,6 @@ class LocalMCTSwapSearch(LocalSearch):
     """
 
     name = "lmcts"
-
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        instance = schedule.instance
-        etc = instance.etc
-        completion = schedule.completion_times
-        source = schedule.most_loaded_machine()
-
-        source_jobs = schedule.machine_jobs(source)
-        if source_jobs.size == 0:
-            return False
-        other_jobs = np.nonzero(schedule.assignment != source)[0]
-        if other_jobs.size == 0:
-            return False
-
-        pair_metric = scan.score_critical_swaps(
-            etc, schedule.assignment, completion, source_jobs, other_jobs, source
-        )
-        best_flat = int(pair_metric.argmin())
-        a_index, b_index = np.unravel_index(best_flat, pair_metric.shape)
-        job_a = int(source_jobs[a_index])
-        job_b = int(other_jobs[b_index])
-
-        before = _fitness_of(schedule, evaluator)
-        schedule.swap_jobs(job_a, job_b)
-        after = _fitness_of(schedule, evaluator)
-        if after < before:
-            return True
-        schedule.swap_jobs(job_a, job_b)  # revert
-        return False
 
     @staticmethod
     def _source_jobs_padded(
@@ -431,33 +362,6 @@ class LocalMCTMoveSearch(LocalSearch):
 
     name = "lmctm"
 
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        instance = schedule.instance
-        nb_machines = instance.nb_machines
-        if nb_machines < 2:
-            return False
-        etc = instance.etc
-        completion = schedule.completion_times
-        source = schedule.most_loaded_machine()
-        source_jobs = schedule.machine_jobs(source)
-        if source_jobs.size == 0:
-            return False
-
-        metric = scan.score_critical_moves(etc, completion, source_jobs, source)
-        best_flat = int(metric.argmin())
-        a_index, target = np.unravel_index(best_flat, metric.shape)
-        job = int(source_jobs[a_index])
-
-        before = _fitness_of(schedule, evaluator)
-        schedule.move_job(job, int(target))
-        after = _fitness_of(schedule, evaluator)
-        if after < before:
-            return True
-        schedule.move_job(job, source)
-        return False
-
     def step_batch(
         self,
         batch: BatchEvaluator,
@@ -503,27 +407,6 @@ class GlobalSteepestMoveSearch(LocalSearch):
 
     name = "gsm"
 
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        instance = schedule.instance
-        if instance.nb_machines < 2:
-            return False
-        scores = scan.score_all_moves(
-            instance.etc, schedule.assignment, schedule.completion_times
-        )
-        job, target = np.unravel_index(int(scores.argmin()), scores.shape)
-        job, target = int(job), int(target)
-        source = int(schedule.assignment[job])
-
-        before = _fitness_of(schedule, evaluator)
-        schedule.move_job(job, target)
-        after = _fitness_of(schedule, evaluator)
-        if after < before:
-            return True
-        schedule.move_job(job, source)
-        return False
-
     def step_batch(
         self,
         batch: BatchEvaluator,
@@ -551,14 +434,6 @@ class VariableNeighborhoodSearch(LocalSearch):
             SteepestLocalMoveSearch(1),
             LocalMCTSwapSearch(1),
         )
-
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        for stage in self._stages:
-            if stage.step(schedule, evaluator, rng):
-                return True
-        return False
 
     def step_batch(
         self,

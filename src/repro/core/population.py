@@ -280,20 +280,6 @@ class ResidentGrid:
         self._makespan[position] = self._makespan[row]
         self._flowtime[position] = self._flowtime[row]
 
-    def install(self, position: int, individual: Individual) -> None:
-        """Install a detached, evaluated individual into cell *position*.
-
-        The sequential cell-update path: the individual's schedule caches
-        and cached objective values are adopted verbatim (no recompute, no
-        re-evaluation), which makes replacement bit-for-bit equivalent to
-        storing the individual object itself.
-        """
-        self._check_position(position)
-        self.batch.install_row(position, individual.schedule)
-        self._fitness[position] = individual.fitness
-        self._makespan[position] = individual.makespan
-        self._flowtime[position] = individual.flowtime
-
     # ------------------------------------------------------------------ #
     # Population statistics
     # ------------------------------------------------------------------ #

@@ -5,12 +5,9 @@ replacement policy decides whether it takes over the cell of the individual
 it was derived from.  The paper uses the elitist *add only if better* policy
 (Table 1); two alternatives are provided for ablations.
 
-Policies expose two equivalent entry points: :meth:`~ReplacementPolicy.
-should_replace` compares two :class:`~repro.core.individual.Individual`
-objects (the sequential cell-update path), and :meth:`~ReplacementPolicy.
-accepts` compares raw fitness values — scalars or whole arrays — which is
-what the resident-grid batch path uses to decide a phase's replacements in
-one vectorized comparison.
+Policies compare raw fitness values through :meth:`~ReplacementPolicy.
+accepts` — scalars or whole arrays, so a phase's replacements can be decided
+in one vectorized comparison.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.core.individual import Individual
 
 __all__ = [
     "ReplacementPolicy",
@@ -49,10 +45,6 @@ class ReplacementPolicy(abc.ABC):
         Accepts scalars or equally shaped arrays (the batch path compares a
         whole phase's offspring against their cells at once).
         """
-
-    def should_replace(self, incumbent: Individual, offspring: Individual) -> bool:
-        """Whether *offspring* should replace *incumbent* in the grid."""
-        return bool(self.accepts(incumbent.fitness, offspring.fitness))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

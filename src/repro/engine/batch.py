@@ -19,9 +19,8 @@ mesh (plus offspring scratch rows, see
 entire run.  To that end rows support three granularities of update:
 
 * whole-row: :meth:`~BatchEvaluator.set_rows` (stage fresh assignments,
-  subset recompute), :meth:`~BatchEvaluator.copy_rows` (replacement as a
-  row copy) and :meth:`~BatchEvaluator.install_row` (adopt a scalar
-  schedule's caches verbatim);
+  subset recompute) and :meth:`~BatchEvaluator.copy_rows` (replacement as
+  a row copy);
 * whole-state: :meth:`~BatchEvaluator.reseat` re-targets the evaluator at a
   *different* instance and population in place, reusing grow-only backing
   stores (high-water-mark capacity) — the primitive behind the warm dynamic
@@ -481,19 +480,6 @@ class BatchEvaluator:
         self._completion[target_rows] = self._completion[source_rows]
         self._machine_flowtime[target_rows] = self._machine_flowtime[source_rows]
 
-    def install_row(self, row: int, schedule: Schedule) -> None:
-        """Copy a scalar schedule's assignment *and caches* into one row.
-
-        Unlike :meth:`set_row` this performs no recomputation: the schedule's
-        incrementally maintained caches are adopted verbatim, so installing
-        an evaluated offspring is a plain ``O(jobs + machines)`` write.
-        """
-        if schedule.instance is not self.instance:
-            raise ValueError("schedule belongs to a different instance")
-        self._assignments[row] = schedule.assignment
-        self._completion[row] = schedule.completion_times
-        self._machine_flowtime[row] = schedule.machine_flowtimes
-
     def _flowtimes_of_machines(
         self, rows: np.ndarray, machines: np.ndarray
     ) -> np.ndarray:
@@ -502,8 +488,12 @@ class BatchEvaluator:
         The batched :func:`~repro.model.schedule.spt_flowtime`: each row's
         jobs are read in the instance's precomputed SPT column order for its
         machine, masked to the jobs actually assigned there, and reduced
-        with one cumulative sum — no per-row python work, and bit-identical
-        to the scalar kernel (masked positions contribute exact zeros).
+        with one cumulative sum — no per-row python work.  The terms are the
+        scalar kernel's, but the final sum runs over the whole masked row
+        (masked positions contribute exact zeros), so its rounding order
+        differs: the result equals the scalar kernel's exactly when every
+        partial sum is exact (small-integer ETCs and ready times) and
+        otherwise agrees to within a few ulps.
         """
         instance = self.instance
         order = instance.spt_order.T[machines]  # (R, J) SPT order per row's machine

@@ -4,11 +4,11 @@ Every local-search method of the paper ranks candidate moves by the machine
 completion times they would produce.  The functions in this module compute
 those scores as single numpy expressions over the *current* assignment and
 completion arrays — no per-candidate ``np.delete``, no schedule copies.
-The move kernels exist at two granularities: per row (one solution at a
-time, consumed by the scalar local-search steps and the
-:class:`~repro.model.schedule.Schedule` path) and ``*_batch`` (a whole
-population of rows in one expression, consumed by the batched local-search
-steps that improve an entire resident offspring batch per iteration).  The
+The move kernels exist at two granularities: ``*_batch`` (a whole
+population of rows in one expression, consumed by the local-search steps
+that improve an entire resident offspring batch per iteration) and per row
+(one solution at a time: the references the batch kernels are tested
+against, and :meth:`~repro.engine.batch.BatchEvaluator.score_moves`).  The
 swap scan stays per row: its ragged pair set does not pack into one
 rectangular tensor without multiplying the scored candidates.
 

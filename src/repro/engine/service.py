@@ -196,12 +196,6 @@ class EvaluationEngine:
         self._m_batch_rows.observe(batch.population_size)
         return fitness
 
-    def improve(self, schedule: Schedule, local_search, rng: RNGLike = None) -> bool:
-        """Apply a local search through the engine's counter."""
-        improved = local_search.improve(schedule, self.evaluator, rng)
-        self._sync_evaluations()
-        return improved
-
     def improve_batch(
         self,
         batch: BatchEvaluator,

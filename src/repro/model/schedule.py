@@ -40,10 +40,13 @@ def spt_flowtime(
 ) -> float:
     """Flowtime contribution of one machine under SPT ordering.
 
-    The shared kernel behind both the scalar :class:`Schedule` cache and the
-    batch engine's per-row updates: the machine's jobs are selected by
-    masking the instance's precomputed SPT column — no re-sorting — and
-    their finishing times come from one cumulative sum.
+    The kernel behind the scalar :class:`Schedule` cache: the machine's
+    jobs are selected by masking the instance's precomputed SPT column — no
+    re-sorting — and their finishing times come from one cumulative sum.
+    The batch engine's vectorized twin,
+    ``BatchEvaluator._flowtimes_of_machines``, sums the same terms in a
+    different order: it matches this kernel exactly on small-integer ETCs
+    and to within a few ulps otherwise.
     """
     order = instance.spt_order[:, machine]
     jobs = order[assignment[order] == machine]

@@ -61,10 +61,10 @@ def run_trajectory(instance, local_search, seed, cell_updates, iterations=12):
 #: population + iterations 1-3; later samples are stationary on this budget).
 GOLDEN = {
     ("lmcts", 7): [2065038.5427848147, 1600875.4629636607, 1451368.2021116172, 1443748.7543157409],
-    ("lmcts", 19): [2713477.7123142518, 1487315.4639403915, 1452378.8967156266, 1444759.4489197503],
+    ("lmcts", 19): [2713477.7123142523, 1487315.4639403915, 1452378.8967156266, 1444759.4489197505],
     ("lm", 7): [3398129.7116753180, 3093141.5628516283, 3093141.5628516283, 2979798.7753862450],
-    ("slm", 7): [3338783.1340076071, 3099605.4756459794, 2377291.3849276155, 2207476.1675497359],
-    ("gsm", 7): [2709730.5608986756, 2397573.9981100131, 2397573.9981100131, 2372706.4442923358],
+    ("slm", 7): [3338783.1340076067, 3099605.4756459794, 2377291.3849276155, 2207476.1675497359],
+    ("gsm", 7): [2709730.5608986750, 2397573.9981100131, 2397573.9981100131, 2372706.4442923358],
 }
 
 

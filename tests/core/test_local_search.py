@@ -108,7 +108,7 @@ class TestSteepestLocalMove:
         search = SteepestLocalMoveSearch(iterations=1)
         # Run several single steps; whenever job 0 is picked it must go to machine 2.
         for _ in range(20):
-            search.step(schedule, evaluator, rng)
+            search.improve(schedule, evaluator, rng)
         assert schedule.assignment[0] == 2
 
 
@@ -143,7 +143,7 @@ class TestLMCTS:
         # Iterate until no improvement twice in a row; must terminate quickly.
         stall = 0
         for _ in range(200):
-            if not search.step(schedule, evaluator, rng):
+            if not search.improve(schedule, evaluator, rng):
                 stall += 1
                 if stall >= 2:
                     break

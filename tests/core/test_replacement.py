@@ -35,33 +35,33 @@ class TestReplaceIfBetter:
     def test_better_offspring_replaces(self, pair):
         incumbent, offspring = pair
         incumbent.fitness, offspring.fitness = 10.0, 5.0
-        assert ReplaceIfBetter().should_replace(incumbent, offspring)
+        assert ReplaceIfBetter().accepts(incumbent.fitness, offspring.fitness)
 
     def test_equal_offspring_does_not_replace(self, pair):
         incumbent, offspring = pair
         incumbent.fitness = offspring.fitness = 7.0
-        assert not ReplaceIfBetter().should_replace(incumbent, offspring)
+        assert not ReplaceIfBetter().accepts(incumbent.fitness, offspring.fitness)
 
     def test_worse_offspring_does_not_replace(self, pair):
         incumbent, offspring = pair
         incumbent.fitness, offspring.fitness = 5.0, 10.0
-        assert not ReplaceIfBetter().should_replace(incumbent, offspring)
+        assert not ReplaceIfBetter().accepts(incumbent.fitness, offspring.fitness)
 
 
 class TestReplaceIfNotWorse:
     def test_equal_offspring_replaces(self, pair):
         incumbent, offspring = pair
         incumbent.fitness = offspring.fitness = 7.0
-        assert ReplaceIfNotWorse().should_replace(incumbent, offspring)
+        assert ReplaceIfNotWorse().accepts(incumbent.fitness, offspring.fitness)
 
     def test_worse_offspring_does_not_replace(self, pair):
         incumbent, offspring = pair
         incumbent.fitness, offspring.fitness = 5.0, 10.0
-        assert not ReplaceIfNotWorse().should_replace(incumbent, offspring)
+        assert not ReplaceIfNotWorse().accepts(incumbent.fitness, offspring.fitness)
 
 
 class TestAlwaysReplace:
     def test_always(self, pair):
         incumbent, offspring = pair
         incumbent.fitness, offspring.fitness = 1.0, 100.0
-        assert AlwaysReplace().should_replace(incumbent, offspring)
+        assert AlwaysReplace().accepts(incumbent.fitness, offspring.fitness)

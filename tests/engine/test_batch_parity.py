@@ -14,7 +14,7 @@ import pytest
 from repro.engine import BatchEvaluator, scan
 from repro.model.fitness import FitnessEvaluator
 from repro.model.instance import SchedulingInstance
-from repro.model.schedule import Schedule
+from repro.model.schedule import Schedule, spt_flowtime
 
 TOL = 1e-9
 
@@ -190,6 +190,38 @@ def test_single_machine_and_single_row_edges():
     assert batch.flowtimes()[0] == pytest.approx(schedule.flowtime, abs=TOL)
     scores = batch.score_moves(0)
     assert np.all(np.isinf(scores))
+
+
+def machine_flowtime_pairs(instance: SchedulingInstance, seed: int, rows: int = 8):
+    """Every (row, machine) flowtime from the vectorized and the scalar kernel."""
+    batch = BatchEvaluator.random(instance, rows, rng=seed)
+    machines = np.tile(np.arange(instance.nb_machines), rows)
+    row_ids = np.repeat(np.arange(rows), instance.nb_machines)
+    vectorized = batch._flowtimes_of_machines(row_ids, machines)
+    scalar = np.array(
+        [spt_flowtime(instance, batch.assignments[r], m) for r, m in zip(row_ids, machines)]
+    )
+    return vectorized, scalar
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_machine_flowtimes_exact_on_integer_etcs(seed):
+    """Every partial sum is an exact integer, so summation order cannot show."""
+    rng = np.random.default_rng(seed)
+    instance = SchedulingInstance(
+        etc=rng.integers(1, 50, size=(24, 6)).astype(float),
+        ready_times=rng.integers(0, 10, size=6).astype(float),
+        name=f"integer-{seed}",
+    )
+    vectorized, scalar = machine_flowtime_pairs(instance, seed)
+    np.testing.assert_array_equal(vectorized, scalar)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_machine_flowtimes_agree_to_rounding_on_real_etcs(seed):
+    """The vectorized kernel sums in another order: equal to rounding, not bits."""
+    vectorized, scalar = machine_flowtime_pairs(random_instance(seed), seed)
+    np.testing.assert_allclose(vectorized, scalar, rtol=1e-12, atol=0)
 
 
 def test_invalid_assignments_rejected():
