@@ -209,7 +209,9 @@ class CellularMemeticAlgorithm:
             raise RuntimeError("call start() before step()")
         state = self.state
         cfg = self.config
-        improved = self._stream(self._rec_order, cfg.nb_recombinations, self._recombination_phase)
+        improved = self._stream(
+            self._rec_order, cfg.nb_recombinations, self._recombination_phase
+        )
         improved |= self._stream(self._mut_order, cfg.nb_mutations, self._mutation_phase)
         self._rec_order.update()
         self._mut_order.update()

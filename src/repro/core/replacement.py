@@ -17,7 +17,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-
 __all__ = [
     "ReplacementPolicy",
     "ReplaceIfBetter",

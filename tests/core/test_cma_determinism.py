@@ -1,13 +1,20 @@
 """Resident-grid determinism: trajectories, modes and golden values.
 
-The PR that made the cMA population resident in one ``BatchEvaluator``
-promised that the ``"sequential"`` cell-update discipline reproduces the
-pre-refactor implementation's best-fitness trajectories bit for bit.  The
-golden values below were recorded by running the pre-resident-grid code
-(commit ``7b5af18``, detached ``Schedule``/``Individual`` copies per cell)
-on the deterministic ``tiny`` instance; the sequential resident path must
-keep matching them exactly, which pins down RNG stream, update order,
-replacement policy and fitness arithmetic all at once.
+Sequential discipline: same decisions as the pre-resident code; fitness
+re-pinned at ``79ae171``.
+
+* ``GOLDEN_DECISIONS`` holds one digest per sequential run over the final
+  population, the evaluation count and the generator state.  They were
+  recorded on the scalar sequential pipeline, which made the same
+  decisions as the pre-resident-grid code (commit ``7b5af18``, detached
+  ``Schedule``/``Individual`` copies per cell); the one-row batch phases
+  that replaced it must keep every digest.
+* ``GOLDEN`` holds best-fitness trajectories on the deterministic ``tiny``
+  instance at ``atol=0``, which pins RNG stream, update order,
+  replacement policy and fitness arithmetic all at once.  They were first
+  recorded by the pre-resident code; ``79ae171`` re-pinned four values
+  that moved by one ulp, because the batch move updates round differently
+  from ``Schedule.move_job``.
 
 The ``"batch"`` discipline is a different (synchronous-within-stream)
 search, so it has its own guarantees: fixed seeds reproduce fixed
@@ -57,7 +64,7 @@ def run_trajectory(instance, local_search, seed, cell_updates, iterations=12):
     return result.history.fitnesses()
 
 
-#: Pre-refactor best-fitness trajectories (first 4 samples: initial
+#: Sequential best-fitness trajectories (first 4 samples: initial
 #: population + iterations 1-3; later samples are stationary on this budget).
 GOLDEN = {
     ("lmcts", 7): [2065038.5427848147, 1600875.4629636607, 1451368.2021116172, 1443748.7543157409],

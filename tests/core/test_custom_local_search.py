@@ -34,7 +34,7 @@ def example():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(local_search, "_REGISTRY", dict(local_search._REGISTRY))
         patch.setattr(heuristics_base, "_REGISTRY", dict(heuristics_base._REGISTRY))
-        spec = importlib.util.spec_from_file_location("custom_operators_example", EXAMPLE)
+        spec = importlib.util.spec_from_file_location("custom_operators", EXAMPLE)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         yield module

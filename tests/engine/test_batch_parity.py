@@ -199,7 +199,10 @@ def machine_flowtime_pairs(instance: SchedulingInstance, seed: int, rows: int = 
     row_ids = np.repeat(np.arange(rows), instance.nb_machines)
     vectorized = batch._flowtimes_of_machines(row_ids, machines)
     scalar = np.array(
-        [spt_flowtime(instance, batch.assignments[r], m) for r, m in zip(row_ids, machines)]
+        [
+            spt_flowtime(instance, batch.assignments[row], machine)
+            for row, machine in zip(row_ids, machines)
+        ]
     )
     return vectorized, scalar
 
