@@ -111,3 +111,72 @@ def test_heuristics_scale_to_benchmark_dimensions(name):
     instance = SchedulingInstance(etc=etc, name="full-size")
     schedule = build_schedule(name, instance, rng=1)
     assert schedule.assignment.shape == (512,)
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Small integer ETCs and ready times, so equal completions are common."""
+    nb_jobs = draw(st.integers(min_value=1, max_value=30))
+    nb_machines = draw(st.integers(min_value=1, max_value=6))
+    cells = st.integers(min_value=1, max_value=3)
+    etc = draw(
+        st.lists(
+            st.lists(cells, min_size=nb_machines, max_size=nb_machines),
+            min_size=nb_jobs,
+            max_size=nb_jobs,
+        )
+    )
+    ready = draw(
+        st.lists(st.integers(0, 2), min_size=nb_machines, max_size=nb_machines)
+    )
+    return SchedulingInstance(
+        etc=np.array(etc, dtype=float), ready_times=np.array(ready, dtype=float)
+    )
+
+
+#: Pick rule per batch-mode heuristic: the key of a job from its sorted
+#: completion times, and whether the largest (else the smallest) key wins.
+BATCH_MODE_RULES = {
+    "min_min": (lambda times: times[0], False),
+    "max_min": (lambda times: times[0], True),
+    "sufferage": (lambda times: times[1] - times[0] if len(times) > 1 else 0.0, True),
+}
+
+
+def batch_mode_specification(instance, name):
+    """Plain-Python statement of a batch-mode heuristic and its tie order.
+
+    Every step scores each unassigned job, in increasing job index, by its
+    rule key; the first job with the winning key is picked (the lowest job
+    index among equal keys) and goes to the first machine with its smallest
+    completion time (the lowest machine index among equal completions).
+    """
+    key_of, largest_wins = BATCH_MODE_RULES[name]
+    etc = instance.etc.tolist()
+    completion = instance.ready_times.tolist()
+    machines = range(instance.nb_machines)
+    unassigned = list(range(instance.nb_jobs))
+    assignment = [-1] * instance.nb_jobs
+    while unassigned:
+        pick = None
+        for job in unassigned:
+            times = [completion[m] + etc[job][m] for m in machines]
+            key = key_of(sorted(times))
+            if (
+                pick is None
+                or (largest_wins and key > pick[0])
+                or (not largest_wins and key < pick[0])
+            ):
+                pick = (key, job, times.index(min(times)))
+        _, job, machine = pick
+        assignment[job] = machine
+        completion[machine] += etc[job][machine]
+        unassigned.remove(job)
+    return assignment
+
+
+@given(tie_heavy_instances(), st.sampled_from(sorted(BATCH_MODE_RULES)))
+@settings(max_examples=100, deadline=None)
+def test_batch_mode_heuristics_follow_their_tie_order(instance, name):
+    schedule = build_schedule(name, instance)
+    assert schedule.assignment.tolist() == batch_mode_specification(instance, name)
