@@ -3,7 +3,8 @@
 These are conventional pytest-benchmark measurements (many rounds, statistical
 timing) of the operations the cMA executes thousands of times per second:
 schedule evaluation, incremental moves, the LMCTS scan and one full cMA
-iteration on a benchmark-sized instance.  They are not part of the paper's
+iteration on a benchmark-sized instance, plus one build of each batch-mode
+heuristic (Min-Min is the live service's degraded path).  They are not part of the paper's
 evaluation, but they are what makes the 90-second (here sub-second) budgets
 meaningful, and they guard against performance regressions in the vectorized
 evaluation code.
@@ -17,6 +18,7 @@ from repro.core.config import CMAConfig
 from repro.core.local_search import LocalMCTSwapSearch
 from repro.core.termination import TerminationCriteria
 from repro.engine import BatchEvaluator
+from repro.heuristics import build_schedule
 from repro.model.benchmark import generate_braun_like_instance
 from repro.model.fitness import FitnessEvaluator
 from repro.model.schedule import Schedule
@@ -76,3 +78,11 @@ def test_single_cma_iteration(benchmark, instance):
         return CellularMemeticAlgorithm(instance, config, rng=7).run().makespan
 
     assert benchmark.pedantic(one_iteration, rounds=3, iterations=1) > 0
+
+
+@pytest.mark.parametrize("name", ["min_min", "max_min", "sufferage"])
+def test_batch_mode_heuristic(benchmark, instance, name):
+    schedule = benchmark.pedantic(
+        build_schedule, args=(name, instance), rounds=5, iterations=1
+    )
+    assert schedule.makespan > 0

@@ -303,10 +303,6 @@ class ResidentGrid:
         """Fitness of every cell as an array (row-major order, copied)."""
         return self._fitness[: self.size].copy()
 
-    def mean_fitness(self) -> float:
-        """Average fitness over the grid."""
-        return float(self._fitness[: self.size].mean())
-
     def genotypic_diversity(self) -> float:
         """Average normalized Hamming distance between all cell pairs."""
         return genome_diversity(self.batch.assignments[: self.size])

@@ -30,9 +30,8 @@ entire run.  To that end rows support three granularities of update:
   :meth:`~BatchEvaluator.apply_swaps` change one job (or pair) in *every*
   row at once, patching only the two affected machine columns per row via
   closed-form SPT deltas, and return undo records for bit-exact reverts —
-  the primitives behind whole-batch local search;
-* per-move, scalar: :meth:`~BatchEvaluator.move_job` /
-  :meth:`~BatchEvaluator.swap_jobs` keep the original one-row interface.
+  the primitives behind whole-batch local search and, on one-row batches,
+  behind the sequential cell-update discipline.
 
 Candidate moves are scored without being applied by
 :meth:`~BatchEvaluator.score_moves` (one row) and
@@ -52,7 +51,7 @@ import numpy as np
 from repro.engine import scan
 from repro.model.fitness import DEFAULT_LAMBDA
 from repro.model.instance import SchedulingInstance
-from repro.model.schedule import Schedule, spt_flowtime
+from repro.model.schedule import Schedule
 from repro.utils.rng import RNGLike, as_generator
 
 __all__ = ["BatchEvaluator", "perturbed_copies"]
@@ -374,44 +373,6 @@ class BatchEvaluator:
         return int(self.fitnesses().argmin())
 
     # ------------------------------------------------------------------ #
-    # Incremental row updates
-    # ------------------------------------------------------------------ #
-    def _flowtime_of(self, row: int, machine: int) -> float:
-        """Flowtime contribution of one machine of one row (SPT order)."""
-        return spt_flowtime(self.instance, self._assignments[row], machine)
-
-    def set_row(self, row: int, assignment: np.ndarray | Iterable[int]) -> None:
-        """Replace one row's assignment (copies data in, recomputes its caches)."""
-        self._assignments[row] = Schedule._validate_assignment(self.instance, assignment)
-        self.recompute(rows=[row])
-
-    def move_job(self, row: int, job: int, machine: int) -> None:
-        """Reassign *job* of *row* to *machine*, updating caches incrementally."""
-        old = int(self._assignments[row, job])
-        if old == machine:
-            return
-        etc = self.instance.etc
-        self._completion[row, old] -= etc[job, old]
-        self._completion[row, machine] += etc[job, machine]
-        self._assignments[row, job] = machine
-        self._machine_flowtime[row, old] = self._flowtime_of(row, old)
-        self._machine_flowtime[row, machine] = self._flowtime_of(row, machine)
-
-    def swap_jobs(self, row: int, job_a: int, job_b: int) -> None:
-        """Exchange the machines of two jobs of *row*, updating caches."""
-        machine_a = int(self._assignments[row, job_a])
-        machine_b = int(self._assignments[row, job_b])
-        if machine_a == machine_b:
-            return
-        etc = self.instance.etc
-        self._completion[row, machine_a] += etc[job_b, machine_a] - etc[job_a, machine_a]
-        self._completion[row, machine_b] += etc[job_a, machine_b] - etc[job_b, machine_b]
-        self._assignments[row, job_a] = machine_b
-        self._assignments[row, job_b] = machine_a
-        self._machine_flowtime[row, machine_a] = self._flowtime_of(row, machine_a)
-        self._machine_flowtime[row, machine_b] = self._flowtime_of(row, machine_b)
-
-    # ------------------------------------------------------------------ #
     # Vectorized neighborhood scan
     # ------------------------------------------------------------------ #
     def score_moves(self, row: int) -> np.ndarray:
@@ -446,8 +407,8 @@ class BatchEvaluator:
     ) -> None:
         """Replace a set of rows' assignments and recompute only those rows.
 
-        The batched :meth:`set_row`: ``assignments`` must have shape
-        ``(len(rows), jobs)``; row indices must be distinct.
+        ``assignments`` must have shape ``(len(rows), jobs)``; row indices
+        must be distinct.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         matrix = np.asarray(assignments, dtype=np.int64)
@@ -664,13 +625,11 @@ class BatchEvaluator:
     def save_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Snapshot (assignment, completion, flowtime) copies of a row subset.
 
-        Paired with :meth:`restore_rows`, this is the general-purpose
-        checkpoint for arbitrary row experiments (tests, diagnostics,
-        custom operators that rewrite whole rows).  The hot batched
-        local-search steps do **not** use it — single-move/swap updates
-        revert through the ``O(rows)`` undo records of :meth:`apply_moves`
-        / :meth:`apply_swaps` instead, which dirty only two machine columns
-        per row.
+        A checkpoint to compare row state before and after an experiment
+        (tests, diagnostics).  The hot batched local-search steps do **not**
+        use it — single-move/swap updates revert through the ``O(rows)``
+        undo records of :meth:`apply_moves` / :meth:`apply_swaps` instead,
+        which dirty only two machine columns per row.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         return (
@@ -678,22 +637,6 @@ class BatchEvaluator:
             self._completion[rows].copy(),
             self._machine_flowtime[rows].copy(),
         )
-
-    def restore_rows(
-        self,
-        rows: np.ndarray,
-        snapshot: tuple[np.ndarray, np.ndarray, np.ndarray],
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Restore rows (or the masked subset) from a :meth:`save_rows` snapshot."""
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        assignments, completion, flowtime = snapshot
-        if mask is not None:
-            rows, assignments = rows[mask], assignments[mask]
-            completion, flowtime = completion[mask], flowtime[mask]
-        self._assignments[rows] = assignments
-        self._completion[rows] = completion
-        self._machine_flowtime[rows] = flowtime
 
     def expanded(self, extra_rows: int) -> "BatchEvaluator":
         """A copy of this batch with ``extra_rows`` scratch rows appended.

@@ -5,7 +5,11 @@ and serve three roles in the reproduction:
 
 * **LJFR-SJFR** seeds the cMA population and is the baseline of Table 4;
 * the classic ETC-benchmark heuristics (Min-Min, Max-Min, Sufferage, MCT,
-  MET, OLB) provide additional baselines and alternative seeds;
+  MET, OLB) provide additional baselines and alternative seeds; Min-Min,
+  Max-Min and Sufferage share one batch-mode kernel
+  (:mod:`repro.heuristics.batch_mode`) that differs only in the pick rule,
+  with a pinned tie order: lowest job index among equal keys, lowest
+  machine index among equal completion times;
 * the immediate-mode heuristics are reused by the dynamic grid scheduler to
   place jobs that arrive between two batch-scheduler activations.
 
@@ -20,12 +24,14 @@ from repro.heuristics.base import (
     list_heuristics,
     register_heuristic,
 )
+from repro.heuristics.batch_mode import (
+    MaxMinHeuristic,
+    MinMinHeuristic,
+    SufferageHeuristic,
+)
 from repro.heuristics.immediate import MCTHeuristic, METHeuristic, OLBHeuristic
 from repro.heuristics.ljfr_sjfr import LJFRSJFRHeuristic
-from repro.heuristics.max_min import MaxMinHeuristic
-from repro.heuristics.min_min import MinMinHeuristic
 from repro.heuristics.random_assignment import RandomAssignmentHeuristic
-from repro.heuristics.sufferage import SufferageHeuristic
 
 __all__ = [
     "ConstructiveHeuristic",

@@ -75,16 +75,24 @@ def test_randomized_move_swap_sequences_keep_parity(seed):
     batch = BatchEvaluator.random(instance, 6, rng=rng)
     twins = [batch.schedule(row) for row in range(len(batch))]
 
+    # One-row apply_moves/apply_swaps calls; the no-op draws (a move to the
+    # job's own machine, a swap within one machine) are skipped because the
+    # row-set primitives reject them and Schedule ignores them.
     for _ in range(120):
         row = int(rng.integers(len(batch)))
+        rows = np.array([row])
         if rng.random() < 0.5:
             job = int(rng.integers(instance.nb_jobs))
             machine = int(rng.integers(instance.nb_machines))
-            batch.move_job(row, job, machine)
+            if machine == batch.assignments[row, job]:
+                continue
+            batch.apply_moves(rows, np.array([job]), np.array([machine]))
             twins[row].move_job(job, machine)
         else:
             job_a, job_b = (int(j) for j in rng.integers(instance.nb_jobs, size=2))
-            batch.swap_jobs(row, job_a, job_b)
+            if batch.assignments[row, job_a] == batch.assignments[row, job_b]:
+                continue
+            batch.apply_swaps(rows, np.array([job_a]), np.array([job_b]))
             twins[row].swap_jobs(job_a, job_b)
 
     batch.validate()
@@ -176,7 +184,7 @@ def test_set_row_and_subset_recompute():
     instance = random_instance(9)
     batch = BatchEvaluator.random(instance, 5, rng=4)
     replacement = np.zeros(instance.nb_jobs, dtype=np.int64)
-    batch.set_row(3, replacement)
+    batch.set_rows([3], replacement[None, :])
     assert np.array_equal(batch.assignments[3], replacement)
     assert_batch_matches_scalar(batch)
 
