@@ -18,6 +18,8 @@ step is O(n·m) over the n unassigned jobs, so a build is O(n²·m).
 
 from __future__ import annotations
 
+import abc
+
 import numpy as np
 
 from repro.heuristics.base import ConstructiveHeuristic, register_heuristic
@@ -32,6 +34,7 @@ class BatchModeHeuristic(ConstructiveHeuristic):
     """The shared batch-mode loop; subclasses supply :meth:`pick`."""
 
     @staticmethod
+    @abc.abstractmethod
     def pick(candidate: np.ndarray, best_time: np.ndarray) -> int:
         """Row of the job to place next.
 
@@ -39,7 +42,6 @@ class BatchModeHeuristic(ConstructiveHeuristic):
         per job in increasing job index, and ``best_time`` each row's
         minimum.
         """
-        raise NotImplementedError
 
     def build(self, instance: SchedulingInstance, rng: RNGLike = None) -> Schedule:
         etc = instance.etc
